@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +47,14 @@ PRESETS = {
 
 @dataclass
 class RunConfig:
-    data: str = ""
-    target: str = "OT"
+    """Every setting of a run; each field is also a `--flag` and a config-file key.
+
+    A field's type is the type of its default, and its metadata is passed to
+    argparse (help text).
+    """
+
+    data: str = field(default="", metadata={"help": "dataset CSV path"})
+    target: str = field(default="OT", metadata={"help": "target column name"})
     variant: str = "fdnet"
     l_in: int = 672
     l_out: int = 96
@@ -63,23 +69,19 @@ class RunConfig:
     max_epochs: int = 10
     patience: int = 3
     seed: int = 4321
-    split: str = "ratio:0.7,0.1,0.2"
+    split: str = field(default="ratio:0.7,0.1,0.2",
+                       metadata={"help": "ratio:0.7,0.1,0.2 | months:12,4,4,1h | rows:a,b"})
     split_part: str = "test"
     out_dir: str = "."
     checkpoint: str = ""
     at: int = 0
-    m: int = 1
+    m: int = field(default=1, metadata={"help": "seasonal periodicity for MASE/OWA"})
     alpha_ks: float = 0.05
     windows: int = 1000
     window_len: int = 96
 
-    _INTS = ("l_in", "l_out", "f", "n_layers", "embed_dim", "heads", "batch_size",
-             "max_epochs", "patience", "seed", "at", "m", "windows", "window_len")
-    _FLOATS = ("alpha", "dropout", "lr", "alpha_ks")
-
     def apply(self, key: str, raw: str):
         key = key.strip().replace("-", "_")
-        names = {f.name for f in fields(self) if not f.name.startswith("_")}
         if key == "preset":
             preset = raw.strip()
             if preset not in PRESETS:
@@ -87,15 +89,15 @@ class RunConfig:
             for k, v in PRESETS[preset].items():
                 setattr(self, k, v)
             return
-        if key not in names:
+        kinds = {f.name: type(f.default) for f in fields(self)}
+        if key not in kinds:
             raise InvalidParameterError(f"unknown config key {key!r}")
-        raw = raw.strip()
-        if key in self._INTS:
-            setattr(self, key, int(raw))
-        elif key in self._FLOATS:
-            setattr(self, key, float(raw))
-        else:
-            setattr(self, key, raw)
+        try:
+            setattr(self, key, kinds[key](raw.strip()))
+        except ValueError:
+            raise InvalidParameterError(
+                f"{key} must be {kinds[key].__name__}, got {raw.strip()!r}"
+            ) from None
 
     def load_file(self, path: str):
         for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -108,21 +110,24 @@ class RunConfig:
             self.apply(key, raw)
 
     def snapshot(self) -> str:
-        lines = [f"{f.name}={getattr(self, f.name)}"
-                 for f in fields(self) if not f.name.startswith("_")]
+        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
         return "\n".join(lines) + "\n"
 
     def split_spec(self) -> SplitSpec:
         kind, _, rest = self.split.partition(":")
         parts = [p for p in rest.split(",") if p]
-        if kind == "ratio":
-            tr, va, te = (float(p) for p in parts)
-            return SplitSpec.ratio(tr, va, te)
-        if kind == "months":
-            tr, va, te = (int(p) for p in parts[:3])
-            return SplitSpec.by_months(tr, va, te, parts[3])
-        if kind == "rows":
-            return SplitSpec.rows(int(parts[0]), int(parts[1]))
+        try:
+            if kind == "ratio":
+                tr, va, te = (float(p) for p in parts)
+                return SplitSpec.ratio(tr, va, te)
+            if kind == "months":
+                tr, va, te, frequency = parts
+                return SplitSpec.by_months(int(tr), int(va), int(te), frequency)
+            if kind == "rows":
+                train_end, val_end = parts
+                return SplitSpec.rows(int(train_end), int(val_end))
+        except ValueError:
+            raise InvalidParameterError(f"malformed split spec {self.split!r}") from None
         raise InvalidParameterError(f"unknown split spec {self.split!r}")
 
     def train_config(self) -> TrainConfig:
@@ -142,8 +147,9 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _standardized_splits(cfg: RunConfig):
+    spec = cfg.split_spec()
     frame = load_csv(cfg.data, cfg.target)
-    train_f, val_f, test_f = split(frame, cfg.split_spec())
+    train_f, val_f, test_f = split(frame, spec)
     standardizer = Standardizer.fit(train_f)
     return frame, standardizer, {
         "train": standardizer.transform(train_f),
@@ -152,15 +158,21 @@ def _standardized_splits(cfg: RunConfig):
     }
 
 
+def _build_model(cfg: RunConfig, l_out: int):
+    return build_model(cfg.variant, cfg.l_in, l_out, cfg.f, cfg.alpha, cfg.n_layers,
+                       cfg.embed_dim, cfg.seed, cfg.heads, cfg.dropout)
+
+
 def cmd_train(cfg: RunConfig) -> int:
+    # the model is built first so bad hyper-parameters fail before any data loads
+    model = _build_model(cfg, cfg.l_out)
+    train_config = cfg.train_config()
     _, standardizer, parts = _standardized_splits(cfg)
     train_windows = make_windows(parts["train"], cfg.l_in, cfg.l_out)
     val_windows = make_windows(parts["val"], cfg.l_in, cfg.l_out)
-    model = build_model(cfg.variant, cfg.l_in, cfg.l_out, cfg.f, cfg.alpha,
-                        cfg.n_layers, cfg.embed_dim, cfg.seed, cfg.heads, cfg.dropout)
     _log(f"training {cfg.variant} on {len(train_windows)} windows "
          f"({cfg.max_epochs} epochs max)")
-    result = train(model, train_windows, val_windows, cfg.train_config())
+    result = train(model, train_windows, val_windows, train_config)
 
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.ckpt", model, standardizer,
@@ -186,10 +198,12 @@ def _load_for_inference(cfg: RunConfig):
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    ckpt, frame = _load_for_inference(cfg)
-    parts = dict(zip(("train", "val", "test"), split(frame, cfg.split_spec())))
-    if cfg.split_part not in parts:
+    part_names = ("train", "val", "test")
+    if cfg.split_part not in part_names:
         raise InvalidParameterError(f"split part must be train/val/test, got {cfg.split_part!r}")
+    spec = cfg.split_spec()
+    ckpt, frame = _load_for_inference(cfg)
+    parts = dict(zip(part_names, split(frame, spec)))
     part = ckpt.standardizer.transform(parts[cfg.split_part])
     windows = make_windows(part, ckpt.config["l_in"], ckpt.config["l_out"])
     report = evaluate_run(ckpt.model, windows, ckpt.standardizer, m=cfg.m)
@@ -201,7 +215,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_predict(cfg: RunConfig) -> int:
+def _window_at(cfg: RunConfig):
+    """Load the checkpoint and its standardized input window starting at `--at`."""
     ckpt, frame = _load_for_inference(cfg)
     l_in = ckpt.config["l_in"]
     if not 0 <= cfg.at <= frame.n_rows - l_in:
@@ -209,7 +224,11 @@ def cmd_predict(cfg: RunConfig) -> int:
             f"window start {cfg.at} out of range for {frame.n_rows} rows and input {l_in}"
         )
     segment = ckpt.standardizer.transform_values(frame.values[cfg.at : cfg.at + l_in])
-    x = Tensor(segment[np.newaxis, np.newaxis, :, :])
+    return ckpt, frame, Tensor(segment[np.newaxis, np.newaxis, :, :])
+
+
+def cmd_predict(cfg: RunConfig) -> int:
+    ckpt, frame, x = _window_at(cfg)
     with no_grad():
         pred = ckpt.model.forward(x, "eval")[0].data[0]
     forecast = ckpt.standardizer.inverse_values(pred)
@@ -250,18 +269,10 @@ def cmd_gradcheck(cfg: RunConfig, corrupt_op: str | None = None) -> int:
 
 
 def cmd_params(cfg: RunConfig) -> int:
-    model = build_model(cfg.variant, cfg.l_in, cfg.l_out, cfg.f, cfg.alpha,
-                        cfg.n_layers, cfg.embed_dim, cfg.seed, cfg.heads, cfg.dropout)
-    counts = model.param_count()
-    long_model = build_model(cfg.variant, cfg.l_in, 720, cfg.f, cfg.alpha,
-                             cfg.n_layers, cfg.embed_dim, cfg.seed, cfg.heads,
-                             cfg.dropout)
-    counts_720 = long_model.param_count()
-    print(f"horizon={cfg.l_out} embedding={counts['embedding']} "
-          f"blocks={counts['blocks']} head={counts['head']} total={counts['total']}")
-    print(f"horizon=720 embedding={counts_720['embedding']} "
-          f"blocks={counts_720['blocks']} head={counts_720['head']} "
-          f"total={counts_720['total']}")
+    counts = _build_model(cfg, cfg.l_out).param_count()
+    counts_720 = _build_model(cfg, 720).param_count()
+    for horizon, tally in ((cfg.l_out, counts), (720, counts_720)):
+        print(f"horizon={horizon} " + " ".join(f"{k}={v}" for k, v in tally.items()))
     delta = counts_720["total"] - counts["total"]
     head_delta = counts_720["head"] - counts["head"]
     print(f"delta total={delta} head={head_delta} non_head={delta - head_delta}")
@@ -269,14 +280,7 @@ def cmd_params(cfg: RunConfig) -> int:
 
 
 def cmd_export_repr(cfg: RunConfig) -> int:
-    ckpt, frame = _load_for_inference(cfg)
-    l_in = ckpt.config["l_in"]
-    if not 0 <= cfg.at <= frame.n_rows - l_in:
-        raise InvalidWindowError(
-            f"window start {cfg.at} out of range for {frame.n_rows} rows and input {l_in}"
-        )
-    segment = ckpt.standardizer.transform_values(frame.values[cfg.at : cfg.at + l_in])
-    x = Tensor(segment[np.newaxis, np.newaxis, :, :])
+    ckpt, frame, x = _window_at(cfg)
     with no_grad():
         reprs = ckpt.model.representations(x, "eval")
     target_idx = frame.target_index()
@@ -297,31 +301,20 @@ def cmd_export_repr(cfg: RunConfig) -> int:
 def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--preset", choices=sorted(PRESETS))
-    parser.add_argument("--data", help="dataset CSV path")
-    parser.add_argument("--target", help="target column name")
-    parser.add_argument("--variant", choices=("fdnet", "funet"))
-    parser.add_argument("--l-in", type=int, dest="l_in")
-    parser.add_argument("--l-out", type=int, dest="l_out")
-    parser.add_argument("--f", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--n-layers", type=int, dest="n_layers")
-    parser.add_argument("--embed-dim", type=int, dest="embed_dim")
-    parser.add_argument("--heads", type=int)
-    parser.add_argument("--dropout", type=float)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--max-epochs", type=int, dest="max_epochs")
-    parser.add_argument("--patience", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--split", help="ratio:0.7,0.1,0.2 | months:12,4,4,1h | rows:a,b")
-    parser.add_argument("--split-part", dest="split_part", choices=("train", "val", "test"))
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--checkpoint")
-    parser.add_argument("--at", type=int)
-    parser.add_argument("--m", type=int, help="seasonal periodicity for MASE/OWA")
-    parser.add_argument("--alpha-ks", type=float, dest="alpha_ks")
-    parser.add_argument("--windows", type=int)
-    parser.add_argument("--window-len", type=int, dest="window_len")
+    for f in fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=type(f.default), **f.metadata)
+
+
+_COMMANDS = {
+    "train": (cmd_train, "fit a model and write checkpoint + history"),
+    "evaluate": (cmd_evaluate, "score a checkpoint on a dataset split"),
+    "predict": (cmd_predict, "forecast one window in original scale"),
+    "kstest": (cmd_kstest, "distribution-shift audit of one column"),
+    "gradcheck": (cmd_gradcheck, "finite-difference verification of every op"),
+    "params": (cmd_params, "parameter counts and horizon-growth report"),
+    "export-repr": (cmd_export_repr, "dump per-branch representations to CSV"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,15 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Focal-decomposition time series forecasting toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("train", "fit a model and write checkpoint + history"),
-        ("evaluate", "score a checkpoint on a dataset split"),
-        ("predict", "forecast one window in original scale"),
-        ("kstest", "distribution-shift audit of one column"),
-        ("gradcheck", "finite-difference verification of every op"),
-        ("params", "parameter counts and horizon-growth report"),
-        ("export-repr", "dump per-branch representations to CSV"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)
         if name == "gradcheck":
@@ -354,22 +339,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "preset", None):
         cfg.apply("preset", args.preset)
     for f in fields(RunConfig):
-        if f.name.startswith("_"):
-            continue
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
     return cfg
-
-
-_COMMANDS = {
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "predict": cmd_predict,
-    "kstest": cmd_kstest,
-    "params": cmd_params,
-    "export-repr": cmd_export_repr,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -377,8 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, corrupt_op=getattr(args, "corrupt_op", None))
-        return _COMMANDS[args.command](cfg)
+            return cmd_gradcheck(cfg, corrupt_op=args.corrupt_op)
+        return _COMMANDS[args.command][0](cfg)
     except ForecastError as exc:
         _log(f"error: {exc}")
         return 1

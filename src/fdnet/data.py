@@ -234,10 +234,6 @@ class Standardizer:
         return TimeSeriesFrame(frame.columns, self.transform_values(frame.values),
                                frame.target, frame.timestamps)
 
-    def inverse_transform(self, frame: TimeSeriesFrame) -> TimeSeriesFrame:
-        return TimeSeriesFrame(frame.columns, self.inverse_values(frame.values),
-                               frame.target, frame.timestamps)
-
 
 class WindowSampler:
     """Sliding (input, target) windows over a frame's value matrix.
@@ -274,14 +270,15 @@ class WindowSampler:
         y = self.values[start + self.l_in : start + self.l_in + self.l_out]
         return x, y
 
-    def __iter__(self):
-        for i in range(self.count):
-            yield self[i]
-
     def batch(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """Stack windows into (B, 1, l_in, V) inputs and (B, l_out, V) targets."""
         xs, ys = zip(*(self[int(i)] for i in indices))
         return np.stack(xs)[:, np.newaxis, :, :], np.stack(ys)
+
+    def batches(self, batch_size: int):
+        """Yield `batch` results over consecutive windows, in window order."""
+        for start in range(0, self.count, batch_size):
+            yield self.batch(range(start, min(start + batch_size, self.count)))
 
 
 def make_windows(frame: TimeSeriesFrame, l_in: int, l_out: int, stride: int = 1) -> WindowSampler:

@@ -55,10 +55,14 @@ def ks_p_value(d: float, m: int, n: int) -> float:
     return min(1.0, 2.0 * math.exp(-2.0 * d * d * (m * n) / (m + n)))
 
 
-def ks_reject_threshold(alpha: float, m: int, n: int) -> float:
-    """Critical value D*: reject the same-distribution hypothesis iff D > D*."""
+def _check_alpha(alpha: float):
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def ks_reject_threshold(alpha: float, m: int, n: int) -> float:
+    """Critical value D*: reject the same-distribution hypothesis iff D > D*."""
+    _check_alpha(alpha)
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt((m + n) / (m * n))
 
 
@@ -119,6 +123,7 @@ def shift_report(series, n_windows: int = 1000, window_len: int = 96,
         )
     if n_windows < 2:
         raise InvalidParameterError(f"need at least 2 windows, got {n_windows}")
+    _check_alpha(alpha)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     starts = rng.integers(0, series.size - window_len + 1, size=n_windows)
     reference = series[starts[0] : starts[0] + window_len]

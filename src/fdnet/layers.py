@@ -4,6 +4,9 @@ All layers preserve variate independence: convolution kernels have extent 1
 in the variate dimension and attention runs along time separately per
 variate, with weights shared across variates. Layers are immutable during a
 forward/backward pass; parameter updates require exclusive access.
+
+Every layer, block and model derives from `Module`, whose attribute walk is
+the one place parameter names are made.
 """
 
 from __future__ import annotations
@@ -28,7 +31,38 @@ def kaiming_target_std(fan_in: int) -> float:
     return math.sqrt(2.0 / fan_in)
 
 
-class WeightNormConv:
+class Module:
+    """A node of the model tree that owns parameters directly or through children.
+
+    `named_parameters` walks `vars(self)` in attribute order: a Tensor
+    attribute is a parameter named after the attribute, a Module attribute
+    adds `name.` to the prefix, and a list of Modules names its items by the
+    singular of the list's name (`blocks` -> `block0.`, `block1.`, ...).
+    """
+
+    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out[prefix + name] = value
+            elif isinstance(value, Module):
+                out.update(value.named_parameters(f"{prefix}{name}."))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        out.update(item.named_parameters(f"{prefix}{_singular(name)}{i}."))
+        return out
+
+    def parameters(self) -> list[Tensor]:
+        return list(self.named_parameters().values())
+
+
+def _singular(plural: str) -> str:
+    """branches -> branch, blocks -> block."""
+    return plural[:-2] if plural.endswith(("ches", "shes", "sses", "xes")) else plural[:-1]
+
+
+class WeightNormConv(Module):
     """Time-axis convolution with weight-normalized kernels.
 
     Trainable parameters are the direction tensor v (Cout,Cin,k,1), the
@@ -48,9 +82,6 @@ class WeightNormConv:
         self.stride_t = stride_t
         self.pad_t = pad_t
 
-    def parameters(self) -> list[Tensor]:
-        return [self.v, self.g, self.bias]
-
     def effective_weight(self) -> Tensor:
         """g * v / ||v|| per output channel; gradients flow into v and g."""
         norms_sq = T.tensor_sum(T.mul(self.v, self.v), axis=(1, 2, 3), keepdims=True)
@@ -65,7 +96,7 @@ class WeightNormConv:
                              stride_t=self.stride_t, pad_t=self.pad_t)
 
 
-class PlainConv:
+class PlainConv(Module):
     """Un-normalized 1x1 time convolution (embeddings and projection heads)."""
 
     def __init__(self, cin: int, cout: int, *, rng: np.random.Generator):
@@ -73,14 +104,11 @@ class PlainConv:
                              requires_grad=True)
         self.bias = Tensor(np.zeros(cout), requires_grad=True)
 
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
     def forward(self, x: Tensor) -> Tensor:
         return T.conv2d_time(x, self.weight, self.bias, stride_t=1, pad_t=0)
 
 
-class ValueEmbedding:
+class ValueEmbedding(PlainConv):
     """Scalar-to-D-channel affine map: a 1x1 conv on (B,1,L,V).
 
     No cross-time or cross-variate mixing; each (t, v) element is embedded
@@ -88,18 +116,15 @@ class ValueEmbedding:
     """
 
     def __init__(self, embed_dim: int, *, rng: np.random.Generator):
-        self.conv = PlainConv(1, embed_dim, rng=rng)
-
-    def parameters(self) -> list[Tensor]:
-        return self.conv.parameters()
+        super().__init__(1, embed_dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.data.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"value embedding expects (B, 1, L, V), got {x.shape}")
-        return self.conv.forward(x)
+        return super().forward(x)
 
 
-class LinearHead:
+class LinearHead(Module):
     """Per-variate linear projection with weights shared across variates.
 
     y[b, :, v] = weight @ features[b, :, v] + bias, realized as a 1x1 conv
@@ -113,9 +138,6 @@ class LinearHead:
         self.in_len = in_len
         self.out_len = out_len
 
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
     def forward(self, features: Tensor) -> Tensor:
         if features.data.ndim != 3 or features.shape[1] != self.in_len:
             raise ShapeError(
@@ -128,7 +150,7 @@ class LinearHead:
         return T.reshape(y4, (batch, self.out_len, variates))
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Canonical scaled dot-product attention along the time axis.
 
     Four square projection matrices (d x d); heads split the embedding into
@@ -146,9 +168,6 @@ class MultiHeadAttention:
         self.w_k = Tensor(kaiming_uniform(rng, (d, d), fan_in=d), requires_grad=True)
         self.w_v = Tensor(kaiming_uniform(rng, (d, d), fan_in=d), requires_grad=True)
         self.w_o = Tensor(kaiming_uniform(rng, (d, d), fan_in=d), requires_grad=True)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.w_q, self.w_k, self.w_v, self.w_o]
 
     def forward(self, x: Tensor) -> Tensor:
         """Attend over (N, L, d) sequences; rows are time positions."""

@@ -165,9 +165,7 @@ def evaluate_run(model, windows: WindowSampler, standardizer: Standardizer,
     n_seen = 0
 
     with T.no_grad():
-        for start in range(0, len(windows), batch_size):
-            idx = range(start, min(start + batch_size, len(windows)))
-            xb, yb = windows.batch(idx)
+        for xb, yb in windows.batches(batch_size):
             pred = model.forward(Tensor(xb), "eval")[0].data
 
             err = pred - yb
@@ -188,7 +186,7 @@ def evaluate_run(model, windows: WindowSampler, standardizer: Standardizer,
                     scale = seasonal_scale(history, m)
                     if scale == 0.0:
                         raise UndefinedScaleError(
-                            f"window {start + w}, variate {v}: constant seasonal history"
+                            f"window {n_seen + w}, variate {v}: constant seasonal history"
                         )
                     ref = seasonal_naive(history, m, l_out)
                     smape_w += _smape_terms(pred_o[w, :, v], truth_o[w, :, v])

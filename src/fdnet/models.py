@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericError, SequenceTooShortError, ShapeError
+from .errors import InvalidParameterError, NumericError, SequenceTooShortError, ShapeError
 from .focal import FocalPlan, make_focal_plan, slice_input
-from .layers import LinearHead, MultiHeadAttention, ValueEmbedding, WeightNormConv
+from .layers import LinearHead, Module, MultiHeadAttention, ValueEmbedding, WeightNormConv
 from .tensor import Tensor
 
 _PARAM_DOMAIN = 0
@@ -59,7 +59,7 @@ def stack_output_length(length: int, depth: int) -> int:
     return length
 
 
-class DFEInitialBlock:
+class DFEInitialBlock(Module):
     """Four weight-normalized convs (1x1, 3x1, 1x1, 3x1) with two residuals.
 
     Each 3x1 conv output adds the activation that entered the preceding 1x1
@@ -76,15 +76,6 @@ class DFEInitialBlock:
         self.dropout_p = dropout_p
         self._drop_rngs = [drops.next() for _ in range(4)]
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for tag, conv in (("conv1", self.conv1), ("conv2", self.conv2),
-                          ("conv3", self.conv3), ("conv4", self.conv4)):
-            out[f"{prefix}.{tag}.v"] = conv.v
-            out[f"{prefix}.{tag}.g"] = conv.g
-            out[f"{prefix}.{tag}.bias"] = conv.bias
-        return out
-
     def _drop(self, x: Tensor, site: int, mode: str) -> Tensor:
         return T.dropout(x, self.dropout_p, mode, self._drop_rngs[site])
 
@@ -95,7 +86,7 @@ class DFEInitialBlock:
         return T.gelu(self._drop(T.add(self.conv4.forward(h3), h2), 3, mode))
 
 
-class DFEICOMBlock:
+class DFEICOMBlock(Module):
     """Attention + downsampling block: halves temporal length.
 
     a = gelu(drop(x + WNConv1x1(attention(x))));
@@ -115,20 +106,6 @@ class DFEICOMBlock:
         self.dropout_p = dropout_p
         self._drop_rngs = [drops.next() for _ in range(3)]
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.attn.w_q": self.attn.w_q,
-            f"{prefix}.attn.w_k": self.attn.w_k,
-            f"{prefix}.attn.w_v": self.attn.w_v,
-            f"{prefix}.attn.w_o": self.attn.w_o,
-        }
-        for tag, conv in (("conv_mix", self.conv_mix), ("conv_down", self.conv_down),
-                          ("conv_post", self.conv_post)):
-            out[f"{prefix}.{tag}.v"] = conv.v
-            out[f"{prefix}.{tag}.g"] = conv.g
-            out[f"{prefix}.{tag}.bias"] = conv.bias
-        return out
-
     def _drop(self, x: Tensor, site: int, mode: str) -> Tensor:
         return T.dropout(x, self.dropout_p, mode, self._drop_rngs[site])
 
@@ -144,14 +121,12 @@ class DFEICOMBlock:
         return T.add(c, T.maxpool_time(x, 3, 2, 1))
 
 
-class _Branch:
+class _Branch(Module):
     """One focal branch: embedding, block stack, flatten, linear head."""
 
     def __init__(self, index: int, length: int, depth: int, variant: str, d: int,
                  l_out: int, heads: int, dropout_p: float,
                  params: _StreamAllocator, drops: _StreamAllocator):
-        self.index = index
-        self.length = length
         self.depth = depth
         self.embed = ValueEmbedding(d, rng=params.next())
         if variant == "fdnet":
@@ -171,18 +146,6 @@ class _Branch:
             self.out_length = current
         self.head = LinearHead(d * self.out_length, l_out, rng=params.next())
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        prefix = f"branch{self.index}"
-        out = {
-            f"{prefix}.embed.weight": self.embed.conv.weight,
-            f"{prefix}.embed.bias": self.embed.conv.bias,
-        }
-        for j, block in enumerate(self.blocks):
-            out.update(block.named_parameters(f"{prefix}.block{j}"))
-        out[f"{prefix}.head.weight"] = self.head.weight
-        out[f"{prefix}.head.bias"] = self.head.bias
-        return out
-
     def representation(self, x_slice: Tensor, mode: str) -> Tensor:
         """Post-stack, pre-flatten features (B, D, out_length, V)."""
         h = self.embed.forward(x_slice)
@@ -198,7 +161,7 @@ class _Branch:
         return self.head.forward(flat), h
 
 
-class _FocalModel:
+class _FocalModel(Module):
     """Shared machinery for both model variants."""
 
     variant = ""
@@ -238,15 +201,6 @@ class _FocalModel:
             "plan_depths": list(self.plan.depths),
         }
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for branch in self.branches:
-            out.update(branch.named_parameters())
-        return out
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
-
     def _check_input(self, x: Tensor):
         if x.data.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"model expects (B, 1, L_in, V), got {x.shape}")
@@ -282,16 +236,15 @@ class _FocalModel:
 
     def param_count(self) -> dict[str, int]:
         """Exact parameter tallies by group, via tensor enumeration."""
-        groups = {"embedding": 0, "blocks": 0, "head": 0}
-        for name, tensor in self.named_parameters().items():
-            if ".embed." in name:
-                groups["embedding"] += tensor.size
-            elif ".head." in name:
-                groups["head"] += tensor.size
-            else:
-                groups["blocks"] += tensor.size
-        groups["total"] = sum(groups.values())
-        return groups
+        groups = {
+            "embedding": [b.embed for b in self.branches],
+            "blocks": [block for b in self.branches for block in b.blocks],
+            "head": [b.head for b in self.branches],
+        }
+        counts = {name: sum(p.size for m in modules for p in m.parameters())
+                  for name, modules in groups.items()}
+        counts["total"] = sum(counts.values())
+        return counts
 
 
 class FDNetModel(_FocalModel):
@@ -311,6 +264,12 @@ def build_model(variant: str, l_in: int, l_out: int, f: int, alpha: float,
                 dropout_p: float = 0.1):
     """Construct either model from scalar hyper-parameters."""
     plan = make_focal_plan(l_in, f, alpha, n_layers, variant)
+    if min(embed_dim, heads, l_out) < 1:
+        raise InvalidParameterError(
+            f"embed_dim, heads and l_out must be >= 1, got {embed_dim}, {heads}, {l_out}"
+        )
+    if not 0.0 <= dropout_p < 1.0:
+        raise InvalidParameterError(f"dropout must lie in [0, 1), got {dropout_p}")
     cls = FDNetModel if variant == "fdnet" else FUNetModel
     return cls(plan, embed_dim=embed_dim, l_out=l_out, seed=seed, heads=heads,
                dropout_p=dropout_p)

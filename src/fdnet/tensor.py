@@ -8,9 +8,10 @@ ops (reshape/transpose/slice/sum/sqrt) required to wire them together.
 Graph representation: every Tensor produced by an op is a graph node holding
 its parent tensors and a backward closure; `Tensor.backward()` topologically
 sorts the reachable subgraph and accumulates gradients into `.grad`. Object
-identity is the node handle. Graph construction and backward are
-single-threaded per graph; distinct graphs over distinct inputs may run
-concurrently.
+identity is the node handle. Grad mode (`no_grad`) and the op trace
+(`_op_trace`) are process-global, so one thread entering `no_grad` stops
+graph recording in every other thread: build and run graphs from one
+thread at a time.
 
 Broadcast rule for binary elementwise ops: the output always has the shape of
 the first operand `a`; the second operand `b` must either match exactly or
@@ -593,11 +594,6 @@ def gradients(loss: Tensor, params: Iterable[Tensor]) -> list[np.ndarray]:
         p.zero_grad()
     loss.backward(params=params)
     return [p.grad for p in params]
-
-
-def zero_grads(params: Iterable[Tensor]):
-    for p in params:
-        p.zero_grad()
 
 
 def grad_check(

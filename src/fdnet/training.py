@@ -120,9 +120,7 @@ def evaluate_mse(model, windows: WindowSampler, batch_size: int = 64) -> float:
     total_sq = 0.0
     count = 0
     with T.no_grad():
-        for start in range(0, len(windows), batch_size):
-            idx = range(start, min(start + batch_size, len(windows)))
-            xb, yb = windows.batch(idx)
+        for xb, yb in windows.batches(batch_size):
             pred, _ = model.forward(Tensor(xb), "eval")
             total_sq += float(((pred.data - yb) ** 2).sum())
             count += yb.size
@@ -251,40 +249,56 @@ def load_checkpoint(path) -> Checkpoint:
             payload = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorruptCheckpointError(f"unreadable config blob: {exc}") from None
-        config, meta = payload["config"], payload["meta"]
+        try:
+            config, meta = payload["config"], payload["meta"]
+        except (KeyError, TypeError):
+            raise CorruptCheckpointError("config blob lacks 'config' or 'meta'") from None
 
         tensors: dict[str, np.ndarray] = {}
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
         for _ in range(n_tensors):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
+            # a name that is not UTF-8 cannot match a parameter and is rejected below
+            name = _read_exact(fh, name_len).decode("utf-8", errors="replace")
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
             shape = tuple(
                 struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim)
             )
             count = int(np.prod(shape)) if shape else 1
             raw = _read_exact(fh, count * 8)
+            if name in tensors:
+                raise CorruptCheckpointError(f"tensor {name} stored twice")
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(tensors[name]).all():
+                raise CorruptCheckpointError(f"tensor {name} holds non-finite values")
+        if fh.read(1):
+            raise CorruptCheckpointError("trailing bytes after the last tensor")
 
-    model = build_model(
-        variant=config["variant"],
-        l_in=config["l_in"],
-        l_out=config["l_out"],
-        f=config["f"],
-        alpha=config["alpha"],
-        n_layers=config["n_layers"],
-        embed_dim=config["embed_dim"],
-        seed=config["seed"],
-        heads=config.get("heads", 1),
-        dropout_p=config.get("dropout", 0.1),
-    )
-    if list(model.plan.lengths) != config["plan_lengths"] or \
-            list(model.plan.depths) != config["plan_depths"]:
+    try:
+        model = build_model(
+            variant=config["variant"],
+            l_in=config["l_in"],
+            l_out=config["l_out"],
+            f=config["f"],
+            alpha=config["alpha"],
+            n_layers=config["n_layers"],
+            embed_dim=config["embed_dim"],
+            seed=config["seed"],
+            heads=config.get("heads", 1),
+            dropout_p=config.get("dropout", 0.1),
+        )
+        stored_plan = (config["plan_lengths"], config["plan_depths"])
+    except (KeyError, TypeError) as exc:
+        raise CorruptCheckpointError(f"unusable checkpoint config: {exc!r}") from None
+    if stored_plan != (list(model.plan.lengths), list(model.plan.depths)):
         raise CorruptCheckpointError("stored focal plan does not match rebuilt plan")
     named = model.named_parameters()
-    missing = set(named) - set(tensors)
-    if missing:
-        raise CorruptCheckpointError(f"checkpoint lacks tensors: {sorted(missing)[:3]}")
+    expected = {*named, "standardizer.mean", "standardizer.std"}
+    if set(tensors) != expected:
+        raise CorruptCheckpointError(
+            f"checkpoint lacks tensors {sorted(expected - set(tensors))[:3]} "
+            f"and has unknown tensors {sorted(set(tensors) - expected)[:3]}"
+        )
     for name, param in named.items():
         stored = tensors[name]
         if stored.shape != param.data.shape:

@@ -69,6 +69,36 @@ class TestConfigFile:
         assert "embedding=16" in out
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("config_text, flags", [
+        ("l_in=abc\n", []),
+        ("", ["--split", "ratio:a,b,c"]),
+        ("", ["--split", "rows:5"]),
+    ])
+    def test_malformed_strings_exit_with_one_line(self, tmp_path, dataset, capsys,
+                                                  config_text, flags):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(config_text)
+        assert main(["train", "--data", dataset, "--config", str(cfg_file), *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["train", "--embed-dim", "0"], "embed_dim"),
+        (["train", "--heads", "0"], "heads"),
+        (["train", "--l-out", "0"], "l_out"),
+        (["train", "--dropout", "1.0"], "dropout"),
+        (["train", "--dropout", "-0.1"], "dropout"),
+        (["train", "--variant", "bogus"], "variant"),
+        (["evaluate", "--split-part", "bogus"], "split part"),
+    ])
+    def test_bad_value_fails_before_data_loads(self, tmp_path, capsys, argv, fragment):
+        absent = str(tmp_path / "absent")
+        assert main([*argv, "--data", absent, "--checkpoint", absent]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
+
+
 class TestTrainCommand:
     def test_smoke_produces_artifacts(self, trained):
         assert (trained / "checkpoint.ckpt").exists()

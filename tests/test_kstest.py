@@ -129,6 +129,11 @@ class TestKsTest:
 
 
 class TestShiftReport:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            shift_report(np.arange(500.0), 10, 96, alpha)
+
     def test_constant_series(self):
         rep = shift_report(np.ones(500), n_windows=100, window_len=96, seed=1)
         assert rep.reject_rate == 0.0

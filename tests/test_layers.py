@@ -83,8 +83,8 @@ class TestValueEmbedding:
 
     def test_zero_weight_gives_bias(self):
         emb = ValueEmbedding(3, rng=gen(2))
-        emb.conv.weight.data[:] = 0.0
-        emb.conv.bias.data = np.array([1.0, -2.0, 0.5])
+        emb.weight.data[:] = 0.0
+        emb.bias.data = np.array([1.0, -2.0, 0.5])
         out = emb.forward(Tensor(gen(3).normal(size=(2, 1, 5, 4)))).data
         for c, b in enumerate([1.0, -2.0, 0.5]):
             assert np.all(out[:, c] == b)

@@ -1,3 +1,7 @@
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +27,31 @@ from fdnet.training import (
     train,
     write_history_csv,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def corrupt_checkpoint(data: bytes, fault: str) -> bytes:
+    """One malformed variant of a well-formed checkpoint file."""
+    (blob_len,) = struct.unpack_from("<I", data, 12)
+    head, blob, tail = data[:12], data[16 : 16 + blob_len], data[16 + blob_len :]
+    if fault in ("config", "meta"):
+        payload = json.loads(blob)
+        del payload[fault]
+        blob = json.dumps(payload).encode()
+        return head + struct.pack("<I", len(blob)) + blob + tail
+    if fault == "trailing":
+        return data + bytes(8)
+    if fault == "renamed":
+        return data.replace(b"branch0.embed.bias", b"branch0.embed.bogs", 1)
+    if fault in ("unknown", "duplicate"):
+        name = b"extra" if fault == "unknown" else b"standardizer.std"
+        (count,) = struct.unpack_from("<I", tail)
+        extra = struct.pack("<I", len(name)) + name + struct.pack("<IQd", 1, 1, 0.0)
+        return data[: 16 + blob_len] + struct.pack("<I", count + 1) + tail[4:] + extra
+    assert fault == "nan"
+    return data[:-8] + struct.pack("<d", float("nan"))
 
 
 def sine_frame(n=400, period=25.0):
@@ -249,6 +278,22 @@ class TestCheckpoint:
         with T.no_grad():
             after = load_checkpoint(path).model.forward(x, "eval")[0].data
         assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("name", ["tiny_fdnet.ckpt", "tiny_funet.ckpt"])
+    def test_fixture_resaves_byte_identical(self, tmp_path, name):
+        # the fixtures lock tensor names, their order and the file format
+        ckpt = load_checkpoint(FIXTURES / name)
+        path = tmp_path / name
+        save_checkpoint(path, ckpt.model, ckpt.standardizer, meta=ckpt.meta)
+        assert path.read_bytes() == (FIXTURES / name).read_bytes()
+
+    @pytest.mark.parametrize("fault", ["config", "meta", "trailing", "renamed", "unknown",
+                                       "duplicate", "nan"])
+    def test_malformed_fixture_rejected(self, tmp_path, fault):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(corrupt_checkpoint((FIXTURES / "tiny_fdnet.ckpt").read_bytes(), fault))
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

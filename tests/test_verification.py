@@ -4,7 +4,6 @@ from fdnet.tensor import DIFFERENTIABLE_OPS
 from fdnet.verification import (
     DEFAULT_TOLERANCE,
     check_names,
-    coverage,
     run_gradient_checks,
 )
 
@@ -15,17 +14,12 @@ class TestSuite:
         failures = [r.name for r in results if not r.passed]
         assert failures == []
 
-    def test_every_registered_op_covered(self):
-        assert set(DIFFERENTIABLE_OPS) <= coverage()
-
     def test_traced_ops_cover_registry_and_declarations(self):
-        from fdnet.verification import _CHECKS
+        # every registered op runs under some check, and every traced op is registered
         results = run_gradient_checks()
         observed_union = {op for r in results for op in r.ops}
-        assert set(DIFFERENTIABLE_OPS) <= observed_union
-        declared = {name: set(ops) for name, ops, _ in _CHECKS}
-        for r in results:
-            assert declared[r.name] <= set(r.ops), r.name
+        assert observed_union == set(DIFFERENTIABLE_OPS)
+        assert [r.name for r in results] == check_names()
 
     def test_tiny_models_included(self):
         names = check_names()
