@@ -25,7 +25,7 @@ from .errors import (
     InvalidWindowError,
 )
 from .kstest import shift_report
-from .metrics import evaluate_run
+from .metrics import check_periodicity, evaluate_run
 from .models import build_model
 from .tensor import Tensor, no_grad
 from .training import (
@@ -202,6 +202,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if cfg.split_part not in part_names:
         raise InvalidParameterError(f"split part must be train/val/test, got {cfg.split_part!r}")
     spec = cfg.split_spec()
+    check_periodicity(cfg.m)
     ckpt, frame = _load_for_inference(cfg)
     parts = dict(zip(part_names, split(frame, spec)))
     part = ckpt.standardizer.transform(parts[cfg.split_part])

@@ -156,7 +156,9 @@ class MultiHeadAttention(Module):
     Four square projection matrices (d x d); heads split the embedding into
     d/h slices, attention weights are softmax(Q K^T / sqrt(d/h)), and the
     concatenated head outputs pass through the output projection. Projections
-    carry no bias.
+    carry no bias. The score-softmax-context core is the fused
+    `tensor.attention_time` op, which keeps one (L x L) probability buffer
+    per head and sequence instead of one per step of the unfused chain.
     """
 
     def __init__(self, d: int, heads: int = 1, *, rng: np.random.Generator):
@@ -182,9 +184,7 @@ class MultiHeadAttention(Module):
         q = split_heads(T.matmul(x, self.w_q))
         k = split_heads(T.matmul(x, self.w_k))
         v = split_heads(T.matmul(x, self.w_v))
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        attn = T.softmax_lastdim(scores)
-        ctx = T.matmul(attn, v)
+        ctx = T.attention_time(q, k, v, 1.0 / math.sqrt(dh))
         merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, length, d))
         return T.matmul(merged, self.w_o)
 

@@ -66,8 +66,15 @@ def _smape_terms(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return 200.0 * np.abs(truth - pred) / safe
 
 
+def check_periodicity(m: int):
+    """Reject a seasonal periodicity below 1."""
+    if m < 1:
+        raise InvalidParameterError(f"periodicity must be >= 1, got {m}")
+
+
 def seasonal_scale(insample, m: int) -> float:
     """MASE denominator: mean |x_j - x_{j-m}| over the in-sample series."""
+    check_periodicity(m)
     insample = np.asarray(insample, dtype=float)
     if insample.ndim != 1 or insample.size <= m:
         raise InsufficientDataError(
@@ -79,8 +86,6 @@ def seasonal_scale(insample, m: int) -> float:
 def mase(pred, truth, insample, m: int) -> float:
     """Mean absolute error scaled by the in-sample seasonal difference."""
     pred, truth = _check_equal_length(pred, truth, "mase")
-    if m < 1:
-        raise InvalidParameterError(f"periodicity must be >= 1, got {m}")
     scale = seasonal_scale(insample, m)
     if scale == 0.0:
         raise UndefinedScaleError("constant seasonal in-sample series gives zero scale")
@@ -153,6 +158,7 @@ def evaluate_run(model, windows: WindowSampler, standardizer: Standardizer,
     in-sample history for the seasonal scale and reference forecast.
     Aggregates are unweighted means over windows.
     """
+    check_periodicity(m)
     if len(windows) < 1:
         raise InsufficientDataError("no evaluation windows")
     l_out = windows.l_out

@@ -2,16 +2,21 @@
 
 The operation set is exactly what the forecasting models need: elementwise
 arithmetic with bias-style broadcasting, matmul, time-axis 2D convolution and
-max-pooling that never mix variates, GELU, dropout, softmax, and the shape
-ops (reshape/transpose/slice/sum/sqrt) required to wire them together.
+max-pooling that never mix variates, GELU, dropout, softmax, fused
+scaled dot-product attention, and the shape ops (reshape/transpose/slice/
+sum/sqrt) required to wire them together.
 
 Graph representation: every Tensor produced by an op is a graph node holding
 its parent tensors and a backward closure; `Tensor.backward()` topologically
 sorts the reachable subgraph and accumulates gradients into `.grad`. Object
-identity is the node handle. Grad mode (`no_grad`) and the op trace
-(`_op_trace`) are process-global, so one thread entering `no_grad` stops
-graph recording in every other thread: build and run graphs from one
-thread at a time.
+identity is the node handle. Backward frees the graph as it goes: each node
+drops its closure, parents and gradient once its closure has run, so every
+activation is released as soon as backward is done with it and a spent
+graph is reclaimed by reference counting alone. A graph can therefore be
+backpropagated once; a second `backward()` through it raises. Grad mode
+(`no_grad`) and the op trace (`_op_trace`) are process-global, so one thread
+entering `no_grad` stops graph recording in every other thread: build and
+run graphs from one thread at a time.
 
 Broadcast rule for binary elementwise ops: the output always has the shape of
 the first operand `a`; the second operand `b` must either match exactly or
@@ -51,6 +56,7 @@ DIFFERENTIABLE_OPS = (
     "gelu",
     "dropout",
     "softmax_lastdim",
+    "attention_time",
     "reshape",
     "transpose",
     "slice_time",
@@ -114,7 +120,13 @@ class Tensor:
         self.grad += g
 
     def backward(self, params: Sequence["Tensor"] | None = None):
-        """Reverse-mode pass from this scalar; populates `.grad` on ancestors.
+        """Reverse-mode pass from this scalar; populates `.grad` on leaves.
+
+        Nodes run newest first. Once a node's closure has run, the node
+        drops its closure, its parents and its own gradient, so the graph
+        is gone when this returns and only leaf `.grad` remains. Calling
+        backward again through a released node raises
+        InvalidArgumentError.
 
         If `params` is given, every listed tensor is guaranteed a gradient
         buffer afterward (zeros when it does not contribute to the loss).
@@ -124,10 +136,20 @@ class Tensor:
                 f"backward requires a scalar loss, got shape {self.shape}"
             )
         order = _toposort(self)
+        if any(n.requires_grad and n._backward is None and n._op != "leaf" for n in order):
+            raise InvalidArgumentError(
+                "backward through a graph that an earlier backward already released"
+            )
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward()
+            node._backward = None
+            node._parents = ()
+            node.grad = None
         if params is not None:
             for p in params:
                 if p.grad is None:
@@ -492,6 +514,42 @@ def softmax_lastdim(x: Tensor) -> Tensor:
             x._accumulate(y * (gy - (gy * y).sum(axis=-1, keepdims=True)))
 
     _record(out, "softmax_lastdim", (x,), backward)
+    return out
+
+
+def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """softmax(q @ k^T * scale) @ v over the trailing two axes, in one op.
+
+    q, k, v are (..., L, d) with equal leading dims. Forward keeps a single
+    (..., L, L) buffer of probabilities and computes them in place, in the
+    same operation order as matmul -> mul -> softmax_lastdim -> matmul, so
+    results and gradients are bitwise those of the unfused chain.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.data.ndim < 2 or not q.shape == k.shape == v.shape:
+        raise ShapeError(f"attention_time needs equal (..., L, d) operands, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor(p @ v.data)
+
+    def backward():
+        gy = out.grad
+        if v.requires_grad:
+            v._accumulate(np.swapaxes(p, -1, -2) @ gy)
+        g = gy @ np.swapaxes(v.data, -1, -2)
+        g -= (g * p).sum(axis=-1, keepdims=True)
+        g *= p
+        g *= scale
+        if q.requires_grad:
+            q._accumulate(g @ k.data)
+        if k.requires_grad:
+            k._accumulate(np.swapaxes(np.swapaxes(q.data, -1, -2) @ g, -1, -2))
+
+    _record(out, "attention_time", (q, k, v), backward)
     return out
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import InvalidParameterError
 from .layers import LinearHead, MultiHeadAttention, ValueEmbedding, WeightNormConv
 from .models import _StreamAllocator, DFEICOMBlock, DFEInitialBlock, build_model
 from .tensor import DIFFERENTIABLE_OPS, Tensor
@@ -197,7 +198,7 @@ def check_names() -> list[str]:
 def _corrupted_backward(op_name: str):
     """Mis-scale the upstream gradient flowing through one op by 1%."""
     if op_name not in DIFFERENTIABLE_OPS:
-        raise ValueError(f"unknown op {op_name!r}; registered: {DIFFERENTIABLE_OPS}")
+        raise InvalidParameterError(f"unknown op {op_name!r}; registered: {DIFFERENTIABLE_OPS}")
     target = T.tensor_sum if op_name == "sum" else getattr(T, op_name)
 
     def wrapper(*args, **kwargs):

@@ -91,6 +91,7 @@ class TestBadInput:
         (["train", "--dropout", "-0.1"], "dropout"),
         (["train", "--variant", "bogus"], "variant"),
         (["evaluate", "--split-part", "bogus"], "split part"),
+        (["evaluate", "--m", "0"], "periodicity"),
     ])
     def test_bad_value_fails_before_data_loads(self, tmp_path, capsys, argv, fragment):
         absent = str(tmp_path / "absent")
@@ -268,6 +269,11 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "FAIL gelu" in captured.out
         assert "gelu" in captured.err
+
+    def test_unknown_corrupt_op_exits_with_one_line(self, capsys):
+        assert main(["gradcheck", "--corrupt-op", "bogus"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "bogus" in err[0]
 
 
 class TestParamsCommand:

@@ -7,6 +7,7 @@ from fdnet import metrics as M
 from fdnet.data import Standardizer, TimeSeriesFrame, make_windows
 from fdnet.errors import (
     InsufficientDataError,
+    InvalidParameterError,
     ShapeError,
     UndefinedOwaError,
     UndefinedScaleError,
@@ -122,6 +123,23 @@ class TestSeasonalNaive:
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             M.seasonal_naive([1.0], 2, 2)
+
+
+class TestPeriodicity:
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_below_one_rejected(self, m):
+        series = np.arange(10.0)
+        with pytest.raises(InvalidParameterError):
+            M.seasonal_scale(series, m)
+        with pytest.raises(InvalidParameterError):
+            M.seasonal_naive(series, m, 3)
+        with pytest.raises(InvalidParameterError):
+            M.mase([1.0], [2.0], series, m)
+        frame = TimeSeriesFrame(("y",), series[:, np.newaxis], "y")
+        windows = make_windows(frame, 4, 1, 1)
+        std = Standardizer(mean=np.zeros(1), std=np.ones(1))
+        with pytest.raises(InvalidParameterError):
+            M.evaluate_run(_CopyLastModel(1), windows, std, m=m)
 
 
 class TestOwa:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -260,6 +262,34 @@ class TestSoftmax:
         assert T.grad_check(f, x) < 1e-4
 
 
+def _unfused_attention(q, k, v, scale):
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
+    return T.matmul(T.softmax_lastdim(scores), v)
+
+
+class TestAttentionTime:
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_bitwise_equal_to_unfused_chain(self, heads):
+        # (N, L, h, dh) leaves viewed as (N, h, L, dh), the layout attention uses
+        n, length, dh = 3, 7, 4
+        data = [rand((n, length, heads, dh), seed, scale=2.0) for seed in (70, 71, 72)]
+        weight = rand((n, heads, length, dh), 73)
+        results = []
+        for op in (T.attention_time, _unfused_attention):
+            leaves = [T.Tensor(d, requires_grad=True) for d in data]
+            q, k, v = (T.transpose(t, (0, 2, 1, 3)) for t in leaves)
+            out = op(q, k, v, 1.0 / math.sqrt(dh))
+            T.tensor_sum(T.mul(out, weight)).backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        for fused, unfused in zip(*results):
+            assert np.array_equal(fused, unfused)
+
+    def test_shape_mismatch(self):
+        q = T.Tensor(rand((1, 1, 4, 2), 77))
+        with pytest.raises(ShapeError):
+            T.attention_time(q, q, T.Tensor(rand((1, 1, 4, 3), 78)), 1.0)
+
+
 class TestShapeOps:
     def test_reshape_roundtrip_grad(self):
         x = T.Tensor(rand((2, 3, 4), 0))
@@ -334,6 +364,40 @@ class TestBackward:
         a = T.conv2d_time(T.Tensor(x), T.Tensor(w), None, 2, 1).data
         b = T.conv2d_time(T.Tensor(x), T.Tensor(w), None, 2, 1).data
         assert np.array_equal(a, b)
+
+
+class TestGraphRelease:
+    def test_intermediate_freed_by_backward_without_gc(self):
+        x = T.Tensor(rand((4, 5), 60), requires_grad=True)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            h = T.gelu(T.mul(x, x))
+            loss = T.tensor_sum(T.mul(h, h))
+            ref = weakref.ref(h)
+            del h
+            assert ref() is not None
+            loss.backward()
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert x.grad is not None and loss.grad is None
+
+    def test_second_backward_rejected(self):
+        x = T.Tensor([2.0], requires_grad=True)
+        loss = T.tensor_sum(T.mul(x, x))
+        loss.backward()
+        with pytest.raises(InvalidArgumentError):
+            loss.backward()
+        assert np.array_equal(x.grad, [4.0])
+
+    def test_new_loss_over_released_subgraph_rejected(self):
+        x = T.Tensor([2.0], requires_grad=True)
+        h = T.mul(x, x)
+        T.tensor_sum(h).backward()
+        with pytest.raises(InvalidArgumentError):
+            T.tensor_sum(T.mul(h, 3.0)).backward()
 
 
 class TestGradCheckHarness:

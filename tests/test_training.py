@@ -1,5 +1,7 @@
+import gc
 import json
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +82,36 @@ class TestMseLoss:
         expected = 2.0 * (pred.data - target) / pred.size
         assert np.allclose(pred.grad, expected, atol=1e-14)
         assert T.grad_check(lambda: mse_loss(pred, Tensor(target)), pred) < 1e-6
+
+
+class TestGraphRelease:
+    @pytest.mark.parametrize("variant", ["fdnet", "funet"])
+    def test_train_graph_freed_by_backward_without_gc(self, variant):
+        model = build_model(variant, l_in=16, l_out=4, f=2, alpha=0.5, n_layers=2,
+                            embed_dim=4, seed=4321)
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(2, 1, 16, 2)), rng.normal(size=(2, 4, 2))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            pred, branch_preds = model.forward(Tensor(x), "train")
+            loss = mse_loss(pred, Tensor(y))
+            refs, stack, seen = [], [loss], set()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen and node._parents:
+                    seen.add(id(node))
+                    refs.append(weakref.ref(node))
+                    stack.extend(node._parents)
+            del pred, branch_preds, stack, node
+            assert len(refs) > 100
+            loss.backward(params=model.parameters())
+            alive = [r for r in refs if r() is not None]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(alive) == 1 and alive[0]() is loss
+        assert all(p.grad is not None for p in model.parameters())
 
 
 class TestAdam:

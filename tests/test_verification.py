@@ -1,5 +1,6 @@
 import pytest
 
+from fdnet.errors import InvalidParameterError
 from fdnet.tensor import DIFFERENTIABLE_OPS
 from fdnet.verification import (
     DEFAULT_TOLERANCE,
@@ -20,6 +21,11 @@ class TestSuite:
         observed_union = {op for r in results for op in r.ops}
         assert observed_union == set(DIFFERENTIABLE_OPS)
         assert [r.name for r in results] == check_names()
+
+    def test_attention_check_traces_fused_op(self):
+        attention = [r for r in run_gradient_checks() if r.name == "attention"][0]
+        assert "attention_time" in attention.ops
+        assert "softmax_lastdim" not in attention.ops
 
     def test_tiny_models_included(self):
         names = check_names()
@@ -43,5 +49,5 @@ class TestSuite:
         assert all(r.passed for r in results)
 
     def test_unknown_corrupt_op_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             run_gradient_checks(corrupt_op="not_an_op")
