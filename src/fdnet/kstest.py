@@ -30,6 +30,9 @@ def ecdf_sup_distance(a, b) -> float:
     b = np.sort(np.asarray(b, dtype=float).ravel())
     if a.size == 0 or b.size == 0:
         raise InvalidSampleError("both samples must be non-empty")
+    # NaN sorts last and equals nothing, so the merge would never pass it.
+    if math.isnan(a[-1]) or math.isnan(b[-1]):
+        raise InvalidSampleError("samples must not contain NaN")
     m, n = a.size, b.size
     i = j = 0
     d = 0.0
@@ -80,7 +83,8 @@ class KSResult:
 
 
 def ks_test(a, b, alpha: float = 0.05) -> KSResult:
-    """Two-sample KS test of a against b at significance alpha."""
+    """Two-sample KS test of a against b at significance alpha in (0, 1)."""
+    _check_alpha(alpha)
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     d = ecdf_sup_distance(a, b)

@@ -3,8 +3,9 @@
 The operation set is exactly what the forecasting models need: elementwise
 arithmetic with bias-style broadcasting, matmul, time-axis 2D convolution and
 max-pooling that never mix variates, GELU, dropout, softmax, fused
-scaled dot-product attention, and the shape ops (reshape/transpose/slice/
-sum/sqrt) required to wire them together.
+scaled dot-product attention that walks its (L, L) probabilities a
+cache-sized block of sequences at a time, and the shape ops (reshape/
+transpose/slice/sum/sqrt) required to wire them together.
 
 Graph representation: every Tensor produced by an op is a graph node holding
 its parent tensors and a backward closure; `Tensor.backward()` topologically
@@ -467,7 +468,9 @@ def gelu(x: Tensor) -> Tensor:
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: train mode zeroes elements w.p. p and rescales by 1/(1-p).
 
-    Eval mode (and p == 0) is the exact identity and consumes no randomness.
+    Eval mode (and p == 0) is the exact identity and consumes no randomness:
+    the output shares the input's array (no op writes activations in place)
+    and is still recorded as a dropout node.
     """
     x = _as_tensor(x)
     if not 0.0 <= p < 1.0:
@@ -475,7 +478,7 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
     if mode not in ("train", "eval"):
         raise InvalidParameterError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or p == 0.0:
-        out = Tensor(x.data.copy())
+        out = Tensor(x.data)
 
         def backward_id():
             if x.requires_grad:
@@ -517,37 +520,67 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return out
 
 
+# Bytes of (L, L) float64 probabilities that attention_time handles at once.
+# A backward block holds about three such buffers (p, g and g * p); at this
+# size they stay near one core's 2 MiB L2 cache on the 2-vCPU Xeon the
+# benchmark runs on, so each pass over a block reads cache, not DRAM. Of
+# 0.125-4 MiB, 0.25-1 MiB measured fastest there at L = 84-336, 4 MiB and
+# the whole array slowest. At L = 336 (FUNet's branch0) a block is one
+# sequence.
+BLOCK_BYTES = 512 * 1024
+
+
 def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """softmax(q @ k^T * scale) @ v over the trailing two axes, in one op.
 
-    q, k, v are (..., L, d) with equal leading dims. Forward keeps a single
-    (..., L, L) buffer of probabilities and computes them in place, in the
-    same operation order as matmul -> mul -> softmax_lastdim -> matmul, so
-    results and gradients are bitwise those of the unfused chain.
+    q, k, v are (..., L, d) with equal leading dims, seen as n = prod(...)
+    sequences. Forward and backward walk them in blocks of BLOCK_BYTES of
+    (L, L) probabilities (at least one sequence), and each block runs every
+    pass while it is in cache. Probabilities are computed in place, in the
+    operation order of matmul -> mul -> softmax_lastdim -> matmul, and each
+    product is the same per-matrix call on fewer matrices at a time, so
+    results and gradients are bitwise those of the unfused chain. In grad
+    mode the probabilities of all blocks are kept for backward in one
+    (n, L, L) array; under `no_grad` only one block is ever allocated.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.data.ndim < 2 or not q.shape == k.shape == v.shape:
-        raise ShapeError(f"attention_time needs equal (..., L, d) operands, got "
-                         f"{q.shape}, {k.shape}, {v.shape}")
-    p = q.data @ np.swapaxes(k.data, -1, -2)
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(p @ v.data)
+    if q.data.ndim < 2 or q.shape[-2] < 1 or not q.shape == k.shape == v.shape:
+        raise ShapeError(f"attention_time needs equal non-empty (..., L, d) operands, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    length, d = q.shape[-2:]
+    n = math.prod(q.shape[:-2])
+    rows = max(1, BLOCK_BYTES // (length * length * 8))
+    blocks = [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+    qs, ks, vs = (t.data.reshape(n, length, d) for t in (q, k, v))
+    keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    probs = np.empty((n if keep else min(rows, n), length, length))
+    ctx = np.empty((n, length, d))
+    for s in blocks:
+        p = probs[s] if keep else probs[: s.stop - s.start]
+        np.matmul(qs[s], np.swapaxes(ks[s], -1, -2), out=p)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vs[s], out=ctx[s])
+    out = Tensor(ctx.reshape(q.shape))
 
     def backward():
-        gy = out.grad
-        if v.requires_grad:
-            v._accumulate(np.swapaxes(p, -1, -2) @ gy)
-        g = gy @ np.swapaxes(v.data, -1, -2)
-        g -= (g * p).sum(axis=-1, keepdims=True)
-        g *= p
-        g *= scale
-        if q.requires_grad:
-            q._accumulate(g @ k.data)
-        if k.requires_grad:
-            k._accumulate(np.swapaxes(np.swapaxes(q.data, -1, -2) @ g, -1, -2))
+        gys = out.grad.reshape(n, length, d)
+        gq, gv = np.empty((n, length, d)), np.empty((n, length, d))
+        gk_t = np.empty((n, d, length))
+        for s in blocks:
+            p = probs[s]
+            np.matmul(np.swapaxes(p, -1, -2), gys[s], out=gv[s])
+            g = gys[s] @ np.swapaxes(vs[s], -1, -2)
+            g -= (g * p).sum(axis=-1, keepdims=True)
+            g *= p
+            g *= scale
+            np.matmul(g, ks[s], out=gq[s])
+            np.matmul(np.swapaxes(qs[s], -1, -2), g, out=gk_t[s])
+        for t, grad in ((q, gq), (k, np.swapaxes(gk_t, -1, -2)), (v, gv)):
+            if t.requires_grad:
+                t._accumulate(grad.reshape(t.shape))
 
     _record(out, "attention_time", (q, k, v), backward)
     return out

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdnet
 from fdnet.errors import InsufficientDataError, InvalidParameterError, InvalidSampleError
 from fdnet.kstest import (
     KSResult,
@@ -37,6 +41,36 @@ class TestEcdfSupDistance:
     def test_empty_sample(self):
         with pytest.raises(InvalidSampleError):
             ecdf_sup_distance([], [1.0])
+
+    def test_nan_sample_rejected(self):
+        # The merge never moves past a NaN, so a regression hangs: run it in a
+        # child process that the timeout kills.
+        code = "\n".join([
+            "import numpy as np",
+            "from fdnet.errors import InvalidSampleError",
+            "from fdnet.kstest import ecdf_sup_distance, ks_test, shift_report",
+            "nan = float('nan')",
+            "calls = [lambda: ecdf_sup_distance([1.0, nan], [2.0]),",
+            "         lambda: ecdf_sup_distance([2.0], [nan, 1.0]),",
+            "         lambda: ks_test([nan], [nan]),",
+            "         lambda: shift_report(np.full(200, nan), 10, 96)]",
+            "for call in calls:",
+            "    try:",
+            "        call()",
+            "    except InvalidSampleError:",
+            "        continue",
+            "    raise SystemExit('no InvalidSampleError')",
+            "print('ok')",
+        ])
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fdnet.__file__))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
+
+    def test_infinite_values_allowed(self):
+        inf = float("inf")
+        assert ecdf_sup_distance([-inf, 0.0, inf], [inf, inf, inf]) == pytest.approx(2 / 3)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
@@ -121,6 +155,11 @@ class TestKsTest:
         assert isinstance(res, KSResult)
         assert res.statistic == 1.0
         assert res.reject
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, -0.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            ks_test([1.0, 2.0], [3.0, 4.0], alpha)
 
     def test_same_distribution_retains_on_typical_draw(self):
         rng = np.random.default_rng(0)

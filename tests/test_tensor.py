@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -214,9 +215,15 @@ class TestDropout:
         assert np.array_equal(out.data, x.data)
 
     def test_eval_identity(self):
-        x = T.Tensor(rand((3, 3), 0))
-        out = T.dropout(x, 0.9, "eval")
-        assert np.array_equal(out.data, x.data)
+        # eval mode, and p == 0 in train mode: the input array itself, still
+        # recorded as a dropout node
+        for p, mode in ((0.9, "eval"), (0.0, "train")):
+            x = T.Tensor(rand((3, 3), 0), requires_grad=True)
+            before = x.data.copy()
+            out = T.dropout(x, p, mode, np.random.default_rng(0))
+            assert out.data is x.data
+            assert np.array_equal(out.data, before)
+            assert out._op == "dropout" and out._parents == (x,)
 
     def test_inverted_scaling_mean(self):
         x = T.Tensor(np.ones(100_000))
@@ -270,19 +277,45 @@ def _unfused_attention(q, k, v, scale):
 class TestAttentionTime:
     @pytest.mark.parametrize("heads", [1, 2])
     def test_bitwise_equal_to_unfused_chain(self, heads):
-        # (N, L, h, dh) leaves viewed as (N, h, L, dh), the layout attention uses
-        n, length, dh = 3, 7, 4
-        data = [rand((n, length, heads, dh), seed, scale=2.0) for seed in (70, 71, 72)]
-        weight = rand((n, heads, length, dh), 73)
-        results = []
-        for op in (T.attention_time, _unfused_attention):
-            leaves = [T.Tensor(d, requires_grad=True) for d in data]
-            q, k, v = (T.transpose(t, (0, 2, 1, 3)) for t in leaves)
-            out = op(q, k, v, 1.0 / math.sqrt(dh))
-            T.tensor_sum(T.mul(out, weight)).backward()
-            results.append([out.data] + [t.grad for t in leaves])
-        for fused, unfused in zip(*results):
-            assert np.array_equal(fused, unfused)
+        # (N, L, h, dh) leaves viewed as (N, h, L, dh), the layout attention
+        # uses. With 512 KiB blocks, (3, 7) is one block, L = 600 puts one
+        # sequence in each block, and L = 128 puts four in each, so 5 or 10
+        # sequences end in a partial block.
+        dh = 4
+        for n, length in ((3, 7), (2, 600), (5, 128)):
+            data = [rand((n, length, heads, dh), seed, scale=2.0) for seed in (70, 71, 72)]
+            weight = rand((n, heads, length, dh), 73)
+            results = []
+            for op in (T.attention_time, _unfused_attention):
+                leaves = [T.Tensor(d, requires_grad=True) for d in data]
+                q, k, v = (T.transpose(t, (0, 2, 1, 3)) for t in leaves)
+                out = op(q, k, v, 1.0 / math.sqrt(dh))
+                with T.no_grad():
+                    assert np.array_equal(op(q, k, v, 1.0 / math.sqrt(dh)).data, out.data)
+                T.tensor_sum(T.mul(out, weight)).backward()
+                results.append([out.data] + [t.grad for t in leaves])
+            for fused, unfused in zip(*results):
+                assert np.array_equal(fused, unfused), (n, length)
+
+    def test_no_grad_allocates_one_block(self):
+        n, length, d = 8, 512, 8
+        q, k, v = (T.Tensor(rand((n, 1, length, d), seed), requires_grad=True)
+                   for seed in (74, 75, 76))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = T.attention_time(q, k, v, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        whole = n * length * length * 8  # one (n, L, L) float64 buffer, 16.8 MB
+        assert peak < whole / 4
+        assert np.array_equal(out.data, T.attention_time(q, k, v, 0.25).data)
+
+    def test_empty_sequence_rejected(self):
+        q = T.Tensor(np.zeros((2, 0, 3)))
+        with pytest.raises(ShapeError):
+            T.attention_time(q, q, q, 1.0)
 
     def test_shape_mismatch(self):
         q = T.Tensor(rand((1, 1, 4, 2), 77))
