@@ -62,7 +62,8 @@ class RunConfig:
     alpha: float = 0.5
     n_layers: int = 5
     embed_dim: int = 8
-    heads: int = 1
+    heads: int = field(default=1, metadata={
+        "help": "attention heads (FUNet only; FDNet has no attention and ignores it)"})
     dropout: float = 0.1
     lr: float = 1e-4
     batch_size: int = 16

@@ -72,15 +72,14 @@ def check_periodicity(m: int):
         raise InvalidParameterError(f"periodicity must be >= 1, got {m}")
 
 
-def seasonal_scale(insample, m: int) -> float:
-    """MASE denominator: mean |x_j - x_{j-m}| over the in-sample series."""
+def seasonal_scale(insample, m: int):
+    """MASE denominator: mean |x_j - x_{j-m}| over the in-sample (last) axis."""
     check_periodicity(m)
     insample = np.asarray(insample, dtype=float)
-    if insample.ndim != 1 or insample.size <= m:
-        raise InsufficientDataError(
-            f"in-sample length {insample.size} must exceed periodicity {m}"
-        )
-    return float(np.abs(insample[m:] - insample[:-m]).mean())
+    length = insample.shape[-1] if insample.ndim else 0
+    if length <= m:
+        raise InsufficientDataError(f"in-sample length {length} must exceed periodicity {m}")
+    return np.abs(insample[..., m:] - insample[..., :-m]).mean(axis=-1)
 
 
 def mase(pred, truth, insample, m: int) -> float:
@@ -93,16 +92,16 @@ def mase(pred, truth, insample, m: int) -> float:
 
 
 def seasonal_naive(insample, m: int, horizon: int) -> np.ndarray:
-    """Repeat the last observed season: forecast[i] = x[T - m + (i mod m)]."""
+    """Repeat the last season (last axis): forecast[i] = x[T - m + (i mod m)]."""
+    check_periodicity(m)
+    if horizon < 1:
+        raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
     insample = np.asarray(insample, dtype=float)
-    if m < 1 or horizon < 1:
-        raise InvalidParameterError("periodicity and horizon must be >= 1")
-    if insample.ndim != 1 or insample.size < m:
-        raise InsufficientDataError(
-            f"in-sample length {insample.size} shorter than periodicity {m}"
-        )
-    last_season = insample[insample.size - m:]
-    return last_season[np.arange(horizon) % m]
+    length = insample.shape[-1] if insample.ndim else 0
+    if length < m:
+        raise InsufficientDataError(f"in-sample length {length} shorter than periodicity {m}")
+    last_season = insample[..., length - m:]
+    return last_season[..., np.arange(horizon) % m]
 
 
 def owa(model_smape: float, model_mase: float, ref_smape: float, ref_mase: float) -> float:
@@ -157,6 +156,13 @@ def evaluate_run(model, windows: WindowSampler, standardizer: Standardizer,
     from inverse-standardized ones, with each window's input serving as the
     in-sample history for the seasonal scale and reference forecast.
     Aggregates are unweighted means over windows.
+
+    Memory is O(batch). Each batch is laid out as contiguous (V, W, L)
+    arrays, so a window's seasonal scale is a mean over one contiguous row as
+    in 1-D `seasonal_scale`. Terms are summed over variates in variate order,
+    divided by V, then added to the per-horizon sums in window order; both
+    sums are `cumsum`s, which add strictly in index order where `sum` may go
+    pairwise. So every number equals a per-window, per-variate loop's bits.
     """
     check_periodicity(m)
     if len(windows) < 1:
@@ -164,10 +170,8 @@ def evaluate_run(model, windows: WindowSampler, standardizer: Standardizer,
     l_out = windows.l_out
     sq_sum = np.zeros(l_out)
     abs_sum = np.zeros(l_out)
-    smape_sum = np.zeros(l_out)
-    mase_sum = np.zeros(l_out)
-    ref_smape_sum = np.zeros(l_out)
-    ref_mase_sum = np.zeros(l_out)
+    # per-horizon sums of window-mean SMAPE, MASE, reference SMAPE, reference MASE
+    m4_sum = np.zeros((4, l_out))
     n_seen = 0
 
     with T.no_grad():
@@ -178,39 +182,26 @@ def evaluate_run(model, windows: WindowSampler, standardizer: Standardizer,
             sq_sum += (err ** 2).mean(axis=(0, 2)) * len(xb)
             abs_sum += np.abs(err).mean(axis=(0, 2)) * len(xb)
 
-            pred_o = standardizer.inverse_values(pred)
-            truth_o = standardizer.inverse_values(yb)
-            insample_o = standardizer.inverse_values(xb[:, 0])
-            for w in range(len(xb)):
-                smape_w = np.zeros(l_out)
-                mase_w = np.zeros(l_out)
-                ref_smape_w = np.zeros(l_out)
-                ref_mase_w = np.zeros(l_out)
-                variates = insample_o.shape[2]
-                for v in range(variates):
-                    history = insample_o[w, :, v]
-                    scale = seasonal_scale(history, m)
-                    if scale == 0.0:
-                        raise UndefinedScaleError(
-                            f"window {n_seen + w}, variate {v}: constant seasonal history"
-                        )
-                    ref = seasonal_naive(history, m, l_out)
-                    smape_w += _smape_terms(pred_o[w, :, v], truth_o[w, :, v])
-                    mase_w += np.abs(truth_o[w, :, v] - pred_o[w, :, v]) / scale
-                    ref_smape_w += _smape_terms(ref, truth_o[w, :, v])
-                    ref_mase_w += np.abs(truth_o[w, :, v] - ref) / scale
-                smape_sum += smape_w / variates
-                mase_sum += mase_w / variates
-                ref_smape_sum += ref_smape_w / variates
-                ref_mase_sum += ref_mase_w / variates
+            pred_o, truth_o, history = (
+                np.ascontiguousarray(standardizer.inverse_values(a).transpose(2, 0, 1))
+                for a in (pred, yb, xb[:, 0]))
+            scale = seasonal_scale(history, m)
+            zero = np.argwhere(scale.T == 0.0)
+            if len(zero):
+                w, v = zero[0]
+                raise UndefinedScaleError(
+                    f"window {n_seen + w}, variate {v}: constant seasonal history")
+            ref = seasonal_naive(history, m, l_out)
+            scale = scale[..., np.newaxis]
+            terms = np.stack([_smape_terms(pred_o, truth_o), np.abs(truth_o - pred_o) / scale,
+                              _smape_terms(ref, truth_o), np.abs(truth_o - ref) / scale])
+            rows = terms.cumsum(axis=1)[:, -1] / terms.shape[1]
+            m4_sum = np.concatenate([m4_sum[:, np.newaxis], rows], axis=1).cumsum(axis=1)[:, -1]
             n_seen += len(xb)
 
     per_h_mse = sq_sum / n_seen
     per_h_mae = abs_sum / n_seen
-    per_h_smape = smape_sum / n_seen
-    per_h_mase = mase_sum / n_seen
-    ref_h_smape = ref_smape_sum / n_seen
-    ref_h_mase = ref_mase_sum / n_seen
+    per_h_smape, per_h_mase, ref_h_smape, ref_h_mase = m4_sum / n_seen
 
     agg_smape = float(per_h_smape.mean())
     agg_mase = float(per_h_mase.mean())

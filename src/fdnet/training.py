@@ -95,8 +95,6 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.learning_rate, self.batch_size, self.max_epochs, self.patience) <= 0:
             raise InvalidParameterError("all training settings must be positive")
-        if self.patience > self.max_epochs:
-            raise InvalidParameterError("patience cannot exceed max_epochs")
 
 
 @dataclass

@@ -109,6 +109,15 @@ class TestTrainCommand:
         assert lines[0] == "epoch,lr,train_mse,val_mse"
         assert len(lines) == 3
 
+    def test_max_epochs_below_default_patience(self, tmp_path, dataset):
+        cut = TRAIN_FLAGS.index("--patience")
+        flags = TRAIN_FLAGS[:cut] + TRAIN_FLAGS[cut + 2:]
+        assert RunConfig().patience > 2 and "--max-epochs" in flags
+        out = tmp_path / "run"
+        assert main(["train", "--data", dataset, "--target", "OT",
+                     "--out-dir", str(out), *flags]) == 0
+        assert len((out / "history.csv").read_text().strip().splitlines()) == 3
+
     def test_missing_dataset_names_path(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
         code = main(["train", "--data", missing, "--out-dir", str(tmp_path)])

@@ -43,8 +43,13 @@ class TestEcdfSupDistance:
             ecdf_sup_distance([], [1.0])
 
     def test_nan_sample_rejected(self):
-        # The merge never moves past a NaN, so a regression hangs: run it in a
-        # child process that the timeout kills.
+        # A NaN-blind distance could hang or return garbage, so the calls run in
+        # a child process that the timeout kills. shift_report(later, 5, 10)
+        # draws these starts; its NaN lies only in the last audit window.
+        starts = np.random.default_rng(np.random.SeedSequence([0])).integers(0, 391, size=5)
+        spot = next(i for i in range(starts[-1], starts[-1] + 10)
+                    if not any(s <= i < s + 10 for s in starts[:-1]))
+        later = f"np.where(np.arange(400) == {spot}, nan, np.arange(400.0))"
         code = "\n".join([
             "import numpy as np",
             "from fdnet.errors import InvalidSampleError",
@@ -53,7 +58,8 @@ class TestEcdfSupDistance:
             "calls = [lambda: ecdf_sup_distance([1.0, nan], [2.0]),",
             "         lambda: ecdf_sup_distance([2.0], [nan, 1.0]),",
             "         lambda: ks_test([nan], [nan]),",
-            "         lambda: shift_report(np.full(200, nan), 10, 96)]",
+            "         lambda: shift_report(np.full(200, nan), 10, 96),",
+            f"         lambda: shift_report({later}, 5, 10)]",
             "for call in calls:",
             "    try:",
             "        call()",
@@ -184,6 +190,26 @@ class TestShiftReport:
         a = shift_report(series, 200, 96, 0.05, seed=11)
         b = shift_report(series, 200, 96, 0.05, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 42])
+    def test_equals_pairwise_reference_loop(self, seed):
+        # rounding to 0.1 makes ties within and across windows common
+        series = np.round(np.random.default_rng(seed).normal(size=3000).cumsum() * 0.05, 1)
+        n, wl, alpha = 300, 24, 0.05
+        starts = np.random.default_rng(np.random.SeedSequence([seed])).integers(
+            0, series.size - wl + 1, size=n)
+        reference = series[starts[0]: starts[0] + wl]
+        p_values = []
+        for start in starts[1:]:
+            other = series[start: start + wl]
+            d = ecdf_sup_distance(reference, other)
+            assert d == brute_force_d(reference, other)
+            p_values.append(ks_p_value(d, wl, wl))
+        p_values = np.array(p_values)
+        rep = shift_report(series, n, wl, alpha, seed=seed)
+        assert rep.reject_rate == float((p_values < alpha).mean())
+        assert rep.mean_p == float(p_values.mean())
+        assert rep.std_p == float(p_values.std())
 
     def test_series_too_short(self):
         with pytest.raises(InsufficientDataError):

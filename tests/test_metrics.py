@@ -173,6 +173,26 @@ class _CopyLastModel:
         return Tensor(pred), []
 
 
+def _reference_m4_means(model, windows, std, m, batch_size):
+    """Per-horizon SMAPE, MASE and reference SMAPE/MASE from a per-window,
+    per-variate loop: the sums in window order, each window's in variate order."""
+    sums = np.zeros((4, windows.l_out))
+    for xb, yb in windows.batches(batch_size):
+        pred = std.inverse_values(model.forward(Tensor(xb), "eval")[0].data)
+        truth = std.inverse_values(yb)
+        history = std.inverse_values(xb[:, 0])
+        for w in range(len(xb)):
+            row = np.zeros((4, windows.l_out))
+            for v in range(xb.shape[-1]):
+                scale = M.seasonal_scale(history[w, :, v], m)
+                ref = M.seasonal_naive(history[w, :, v], m, windows.l_out)
+                p, t = pred[w, :, v], truth[w, :, v]
+                row += [M._smape_terms(p, t), np.abs(t - p) / scale,
+                        M._smape_terms(ref, t), np.abs(t - ref) / scale]
+            sums += row / xb.shape[-1]
+    return sums / len(windows)
+
+
 class TestEvaluateRun:
     def frame(self, n=40, v=2, seed=0):
         rng = np.random.default_rng(seed)
@@ -234,6 +254,38 @@ class TestEvaluateRun:
             M.mase([7.0], [8.0], [5.0, 6.0, 7.0], 1),
         ]
         assert report.mase == pytest.approx(np.mean(per_window_mase), abs=1e-12)
+
+    def test_constant_history_names_first_window_then_variate(self):
+        # window 5 (second batch of 4) has constant histories in variates 1
+        # and 2, window 7 in variate 0: the first in window order is reported
+        vals = np.random.default_rng(8).normal(size=(30, 3)).cumsum(axis=0)
+        vals[5:13, 1] = 2.5
+        vals[5:13, 2] = -1.0
+        vals[7:15, 0] = 4.0
+        frame = TimeSeriesFrame(("a", "b", "c"), vals, "c")
+        std = Standardizer(mean=np.zeros(3), std=np.ones(3))
+        windows = make_windows(frame, 8, 2, 1)
+        with pytest.raises(UndefinedScaleError, match="window 5, variate 1:"):
+            M.evaluate_run(_CopyLastModel(2), windows, std, m=1, batch_size=4)
+
+    @pytest.mark.parametrize("n,v,l_in,l_out,m,batch_size",
+                             [(120, 8, 16, 1, 2, 64), (12, 9, 10, 1, 1, 1),
+                              (122, 7, 96, 24, 24, 2), (120, 3, 24, 5, 3, 4),
+                              (120, 1, 9, 2, 1, 7)])
+    def test_bitwise_equal_to_per_window_loop(self, n, v, l_in, l_out, m, batch_size):
+        # l_out = 1 with >= 8 windows per batch, or >= 8 variates in one-window
+        # batches, is where a pairwise sum would reorder the additions; with
+        # few windows a last-bit change in one window's row or scale still shows
+        frame = self.frame(n, v, seed=v)
+        std = Standardizer.fit(frame)
+        windows = make_windows(std.transform(frame), l_in, l_out, 1)
+        model = _CopyLastModel(l_out)
+        report = M.evaluate_run(model, windows, std, m=m, batch_size=batch_size)
+        smape, mase, ref_smape, ref_mase = _reference_m4_means(
+            model, windows, std, m, batch_size)
+        assert report.per_horizon["smape"] == smape.tolist()
+        assert report.per_horizon["mase"] == mase.tolist()
+        assert report.per_horizon["owa"] == (0.5 * (smape / ref_smape + mase / ref_mase)).tolist()
 
     def test_real_model_runs_and_serializes(self):
         frame = self.frame(60, 2)

@@ -221,6 +221,15 @@ class TestTrain:
         assert len(result.history) == 5
         assert result.best_epoch == 2
 
+    def test_fewer_epochs_than_patience_run_in_full(self):
+        # patience >= the epochs left only means early stopping never fires
+        cfg = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=2, seed=3)
+        assert cfg.patience > cfg.max_epochs
+        frame = sine_frame(120)
+        model = build_model("fdnet", 16, 4, 2, 0.5, 1, 2, seed=3)
+        result = train(model, make_windows(frame, 16, 4, 2), make_windows(frame, 16, 4, 5), cfg)
+        assert [record.epoch for record in result.history] == [0, 1]
+
     def test_history_bitwise_reproducible(self):
         frame = sine_frame(150)
         def run():
