@@ -101,7 +101,11 @@ class RunConfig:
             ) from None
 
     def load_file(self, path: str):
-        for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidParameterError(f"{path}: config file is not UTF-8: {exc}") from None
+        for line_no, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -354,11 +358,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(cfg, corrupt_op=args.corrupt_op)
         return _COMMANDS[args.command][0](cfg)
-    except ForecastError as exc:
+    except (ForecastError, OSError) as exc:  # an OSError's text names its file
         _log(f"error: {exc}")
-        return 1
-    except FileNotFoundError as exc:
-        _log(f"error: file not found: {exc.filename}")
         return 1
 
 

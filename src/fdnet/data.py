@@ -108,9 +108,11 @@ def load_csv(path, target_column: str) -> TimeSeriesFrame:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = [row for row in reader if row]
         except StopIteration:
             raise SchemaError(f"{path}: empty file, no header row") from None
-        rows = [row for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from None
 
     if not rows:
         raise SchemaError(f"{path}: no data rows")
@@ -158,7 +160,7 @@ class SplitSpec:
 
     @staticmethod
     def ratio(train: float = 0.7, val: float = 0.1, test: float = 0.2) -> "SplitSpec":
-        if min(train, val, test) <= 0 or abs(train + val + test - 1.0) > 1e-9:
+        if not (min(train, val, test) > 0 and abs(train + val + test - 1.0) <= 1e-9):
             raise InvalidParameterError(
                 f"split fractions must be positive and sum to 1, got "
                 f"({train}, {val}, {test})"

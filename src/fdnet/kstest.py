@@ -126,12 +126,13 @@ def shift_report(series, n_windows: int = 1000, window_len: int = 96,
     the n_windows - 1 P-values.
     """
     series = np.asarray(series, dtype=float).ravel()
+    if window_len < 1 or n_windows < 2 or seed < 0:
+        raise InvalidParameterError(f"need window_len >= 1, n_windows >= 2 and seed >= 0, "
+                                    f"got {window_len}, {n_windows} and {seed}")
     if series.size < window_len:
         raise InsufficientDataError(
             f"series of {series.size} points cannot host windows of {window_len}"
         )
-    if n_windows < 2:
-        raise InvalidParameterError(f"need at least 2 windows, got {n_windows}")
     _check_alpha(alpha)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     starts = rng.integers(0, series.size - window_len + 1, size=n_windows)

@@ -264,10 +264,9 @@ def build_model(variant: str, l_in: int, l_out: int, f: int, alpha: float,
                 dropout_p: float = 0.1):
     """Construct either model from scalar hyper-parameters."""
     plan = make_focal_plan(l_in, f, alpha, n_layers, variant)
-    if min(embed_dim, heads, l_out) < 1:
-        raise InvalidParameterError(
-            f"embed_dim, heads and l_out must be >= 1, got {embed_dim}, {heads}, {l_out}"
-        )
+    if min(embed_dim, heads, l_out) < 1 or seed < 0:
+        raise InvalidParameterError(f"embed_dim, heads and l_out must be >= 1 and seed >= 0, "
+                                    f"got {embed_dim}, {heads}, {l_out} and {seed}")
     if not 0.0 <= dropout_p < 1.0:
         raise InvalidParameterError(f"dropout must lie in [0, 1), got {dropout_p}")
     cls = FDNetModel if variant == "fdnet" else FUNetModel

@@ -15,9 +15,9 @@ drops its closure, parents and gradient once its closure has run, so every
 activation is released as soon as backward is done with it and a spent
 graph is reclaimed by reference counting alone. A graph can therefore be
 backpropagated once; a second `backward()` through it raises. Grad mode
-(`no_grad`) and the op trace (`_op_trace`) are process-global, so one thread
-entering `no_grad` stops graph recording in every other thread: build and
-run graphs from one thread at a time.
+(`no_grad`) and op hooks (`op_hook`) live in one `ContextVar`, so both are
+context-local: neither reaches ops recorded in another thread or asyncio
+task, and separate graphs may be built from separate threads.
 
 Broadcast rule for binary elementwise ops: the output always has the shape of
 the first operand `a`; the second operand `b` must either match exactly or
@@ -29,6 +29,7 @@ always allowed). The backward pass sums gradients over the broadcast axes.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 from collections.abc import Callable, Iterable, Sequence
 
@@ -65,22 +66,33 @@ DIFFERENTIABLE_OPS = (
     "sqrt",
 )
 
-_grad_enabled = True
-
-# When a list, every recorded op appends its tag here (test instrumentation).
-_op_trace: list[str] | None = None
+# (grad enabled, hooks) of the current context; only no_grad and op_hook set it.
+_state = contextvars.ContextVar("fdnet_tensor_state", default=(True, ()))
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph construction inside the block (eval-mode speed-up)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _state.set((False, _state.get()[1]))
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _state.reset(token)
+
+
+@contextlib.contextmanager
+def op_hook(fn: Callable[[Tensor], None]):
+    """Call `fn(out)` with the output of every op run inside the block.
+
+    A hook may read `out._op` and wrap `out._backward` (None when no graph
+    was recorded for the op). Hooks run in the order they were entered.
+    """
+    grad_enabled, hooks = _state.get()
+    token = _state.set((grad_enabled, hooks + (fn,)))
+    try:
+        yield
+    finally:
+        _state.reset(token)
 
 
 class Tensor:
@@ -202,12 +214,13 @@ def _as_tensor(x) -> Tensor:
 
 def _record(out: Tensor, op: str, parents: tuple[Tensor, ...], backward):
     out._op = op
-    if _op_trace is not None:
-        _op_trace.append(op)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    grad_enabled, hooks = _state.get()
+    if grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
+    for hook in hooks:
+        hook(out)
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str):
@@ -478,24 +491,16 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
     if mode not in ("train", "eval"):
         raise InvalidParameterError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or p == 0.0:
-        out = Tensor(x.data)
-
-        def backward_id():
-            if x.requires_grad:
-                x._accumulate(out.grad)
-
-        _record(out, "dropout", (x,), backward_id)
-        return out
-
-    if rng is None:
+        mask, out = None, Tensor(x.data)
+    elif rng is None:
         raise InvalidParameterError("dropout in train mode requires an rng")
-    scale = 1.0 / (1.0 - p)
-    mask = (rng.random(x.shape) >= p) * scale
-    out = Tensor(x.data * mask)
+    else:
+        mask = (rng.random(x.shape) >= p) * (1.0 / (1.0 - p))
+        out = Tensor(x.data * mask)
 
     def backward():
         if x.requires_grad:
-            x._accumulate(out.grad * mask)
+            x._accumulate(out.grad if mask is None else out.grad * mask)
 
     _record(out, "dropout", (x,), backward)
     return out
@@ -552,7 +557,7 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     rows = max(1, BLOCK_BYTES // (length * length * 8))
     blocks = [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
     qs, ks, vs = (t.data.reshape(n, length, d) for t in (q, k, v))
-    keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    keep = _state.get()[0] and (q.requires_grad or k.requires_grad or v.requires_grad)
     probs = np.empty((n if keep else min(rows, n), length, length))
     ctx = np.empty((n, length, d))
     for s in blocks:
@@ -718,11 +723,10 @@ def grad_check(
         gflat = ga.reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + h
             with no_grad():
+                flat[i] = saved + h
                 up = float(f().data)
-            flat[i] = saved - h
-            with no_grad():
+                flat[i] = saved - h
                 down = float(f().data)
             flat[i] = saved
             if not (math.isfinite(up) and math.isfinite(down)):

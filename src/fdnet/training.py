@@ -16,6 +16,8 @@ raw float64 payload. Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -25,6 +27,7 @@ from . import tensor as T
 from .data import Standardizer, WindowSampler
 from .errors import (
     CorruptCheckpointError,
+    ForecastError,
     IncompatibleCheckpointError,
     InvalidParameterError,
     ShapeError,
@@ -95,6 +98,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.learning_rate, self.batch_size, self.max_epochs, self.patience) <= 0:
             raise InvalidParameterError("all training settings must be positive")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -224,86 +229,84 @@ def save_checkpoint(path, model, standardizer: Standardizer, meta: dict | None =
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CorruptCheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(data)}")
-    return data
+def _read_exact(fh, n: int, end: int) -> bytes:
+    # n is read from the file itself: compare it with the bytes left before reading
+    left = end - fh.tell()
+    if n > left:
+        raise CorruptCheckpointError(f"truncated checkpoint: wanted {n} bytes, {left} left")
+    return fh.read(n)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Rebuild the model plus standardizer from a checkpoint file."""
+    """Rebuild the model plus standardizer from a checkpoint file.
+
+    The model is rebuilt from the config blob before any tensor is read, so
+    each stored tensor's name and shape are checked before its payload is.
+    """
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise IncompatibleCheckpointError(f"bad checkpoint magic: {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, end))
         if version != CHECKPOINT_VERSION:
             raise IncompatibleCheckpointError(
                 f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
             )
-        (blob_len,) = struct.unpack("<I", _read_exact(fh, 4))
+        (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, end))
         try:
-            payload = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
+            payload = json.loads(_read_exact(fh, blob_len, end).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorruptCheckpointError(f"unreadable config blob: {exc}") from None
         try:
             config, meta = payload["config"], payload["meta"]
         except (KeyError, TypeError):
             raise CorruptCheckpointError("config blob lacks 'config' or 'meta'") from None
+        try:
+            model = build_model(
+                variant=config["variant"],
+                l_in=config["l_in"],
+                l_out=config["l_out"],
+                f=config["f"],
+                alpha=config["alpha"],
+                n_layers=config["n_layers"],
+                embed_dim=config["embed_dim"],
+                seed=config["seed"],
+                heads=config.get("heads", 1),
+                dropout_p=config.get("dropout", 0.1),
+            )
+            stored_plan = (config["plan_lengths"], config["plan_depths"])
+        except (KeyError, TypeError, ValueError, ArithmeticError, ForecastError) as exc:
+            raise CorruptCheckpointError(f"unusable checkpoint config: {exc!r}") from None
+        if stored_plan != (list(model.plan.lengths), list(model.plan.depths)):
+            raise CorruptCheckpointError("stored focal plan does not match rebuilt plan")
+        named = model.named_parameters()
+        expected = {name: param.data.shape for name, param in named.items()}
+        expected["standardizer.mean"] = expected["standardizer.std"] = (config.get("variates"),)
 
         tensors: dict[str, np.ndarray] = {}
-        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
+        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, end))
         for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            # a name that is not UTF-8 cannot match a parameter and is rejected below
-            name = _read_exact(fh, name_len).decode("utf-8", errors="replace")
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = tuple(
-                struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim)
-            )
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, count * 8)
-            if name in tensors:
-                raise CorruptCheckpointError(f"tensor {name} stored twice")
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, end))
+            # a name that is not UTF-8 matches no expected tensor and is rejected
+            name = _read_exact(fh, name_len, end).decode("utf-8", errors="replace")
+            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, end))
+            shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, end))
+            if name in tensors or shape != expected.get(name):
+                raise CorruptCheckpointError(f"tensor {name} is stored twice, unknown or has "
+                                             f"shape {shape}, expected {expected.get(name)}")
+            raw = _read_exact(fh, 8 * math.prod(shape), end)
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             if not np.isfinite(tensors[name]).all():
                 raise CorruptCheckpointError(f"tensor {name} holds non-finite values")
         if fh.read(1):
             raise CorruptCheckpointError("trailing bytes after the last tensor")
 
-    try:
-        model = build_model(
-            variant=config["variant"],
-            l_in=config["l_in"],
-            l_out=config["l_out"],
-            f=config["f"],
-            alpha=config["alpha"],
-            n_layers=config["n_layers"],
-            embed_dim=config["embed_dim"],
-            seed=config["seed"],
-            heads=config.get("heads", 1),
-            dropout_p=config.get("dropout", 0.1),
-        )
-        stored_plan = (config["plan_lengths"], config["plan_depths"])
-    except (KeyError, TypeError) as exc:
-        raise CorruptCheckpointError(f"unusable checkpoint config: {exc!r}") from None
-    if stored_plan != (list(model.plan.lengths), list(model.plan.depths)):
-        raise CorruptCheckpointError("stored focal plan does not match rebuilt plan")
-    named = model.named_parameters()
-    expected = {*named, "standardizer.mean", "standardizer.std"}
-    if set(tensors) != expected:
+    if len(tensors) != len(expected):
         raise CorruptCheckpointError(
-            f"checkpoint lacks tensors {sorted(expected - set(tensors))[:3]} "
-            f"and has unknown tensors {sorted(set(tensors) - expected)[:3]}"
-        )
+            f"checkpoint lacks tensors {sorted(set(expected) - set(tensors))[:3]}")
     for name, param in named.items():
-        stored = tensors[name]
-        if stored.shape != param.data.shape:
-            raise CorruptCheckpointError(
-                f"tensor {name} has shape {stored.shape}, expected {param.data.shape}"
-            )
-        param.data = stored
+        param.data = tensors[name]
     standardizer = Standardizer(mean=tensors["standardizer.mean"],
                                 std=tensors["standardizer.std"])
     return Checkpoint(model=model, standardizer=standardizer, config=config, meta=meta)

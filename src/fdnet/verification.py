@@ -1,11 +1,11 @@
 """Gradient-fidelity suite: every differentiable op against central
 finite differences, plus composite layers and tiny end-to-end models.
 
-Each check is deterministic (fixed seeds). Its result lists the ops traced
-while it ran, so the suite's coverage of the registered op set is read from
-what actually executed rather than declared by hand. The `corrupt_op` hook
-deliberately mis-scales the upstream gradient of one op during the run so a
-harness can verify that broken backwards are detected and named.
+Each check is deterministic (fixed seeds). Its result lists the ops an
+`op_hook` saw while it ran, so coverage of the registered op set is read
+from what actually executed rather than declared by hand. With `corrupt_op`,
+another hook mis-scales the upstream gradient of that op during the run so
+a harness can verify that broken backwards are detected and named.
 """
 
 from __future__ import annotations
@@ -194,29 +194,20 @@ def check_names() -> list[str]:
     return list(_CHECKS)
 
 
-@contextlib.contextmanager
-def _corrupted_backward(op_name: str):
-    """Mis-scale the upstream gradient flowing through one op by 1%."""
+def _corrupting(op_name: str):
+    """An op hook that mis-scales the upstream gradient flowing through one op by 1%."""
     if op_name not in DIFFERENTIABLE_OPS:
         raise InvalidParameterError(f"unknown op {op_name!r}; registered: {DIFFERENTIABLE_OPS}")
-    target = T.tensor_sum if op_name == "sum" else getattr(T, op_name)
 
-    def wrapper(*args, **kwargs):
-        out = target(*args, **kwargs)
+    def hook(out: Tensor):
         original = out._backward
-        if original is not None:
+        if out._op == op_name and original is not None:
             def corrupted():
                 out.grad = out.grad * 1.01
                 original()
             out._backward = corrupted
-        return out
 
-    attr = "tensor_sum" if op_name == "sum" else op_name
-    setattr(T, attr, wrapper)
-    try:
-        yield
-    finally:
-        setattr(T, attr, target)
+    return hook
 
 
 def run_gradient_checks(corrupt_op: str | None = None,
@@ -227,15 +218,11 @@ def run_gradient_checks(corrupt_op: str | None = None,
     so coverage statements cannot drift from the implementations.
     """
     results = []
-    ctx = _corrupted_backward(corrupt_op) if corrupt_op else contextlib.nullcontext()
-    with ctx:
+    with T.op_hook(_corrupting(corrupt_op)) if corrupt_op else contextlib.nullcontext():
         for name, fn in _CHECKS.items():
-            T._op_trace = []
-            try:
+            traced: set[str] = set()
+            with T.op_hook(lambda out: traced.add(out._op)):
                 error = float(fn())
-                observed = tuple(sorted(set(T._op_trace)))
-            finally:
-                T._op_trace = None
-            results.append(CheckResult(name=name, ops=observed, error=error,
+            results.append(CheckResult(name=name, ops=tuple(sorted(traced)), error=error,
                                        tolerance=tolerance))
     return results

@@ -92,12 +92,32 @@ class TestBadInput:
         (["train", "--variant", "bogus"], "variant"),
         (["evaluate", "--split-part", "bogus"], "split part"),
         (["evaluate", "--m", "0"], "periodicity"),
+        (["train", "--seed", "-1"], "seed"),
+        (["params", "--seed", "-1"], "seed"),
     ])
     def test_bad_value_fails_before_data_loads(self, tmp_path, capsys, argv, fragment):
         absent = str(tmp_path / "absent")
         assert main([*argv, "--data", absent, "--checkpoint", absent]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
+
+    @pytest.mark.parametrize("case", ["data_is_dir", "config_is_dir", "out_dir_is_file",
+                                      "csv_not_utf8", "config_not_utf8"])
+    def test_unreadable_file_exits_with_one_line_naming_it(self, tmp_path, dataset, capsys,
+                                                           case):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"A,OT\n1,\xff\n" if case == "csv_not_utf8" else b"l_in=\xff\n")
+        named, argv = {
+            "data_is_dir": (tmp_path, ["kstest", "--data", str(tmp_path)]),
+            "config_is_dir": (tmp_path, ["params", "--config", str(tmp_path)]),
+            "out_dir_is_file": (dataset, ["kstest", "--data", dataset, "--windows", "5",
+                                          "--window-len", "48", "--out-dir", dataset]),
+            "csv_not_utf8": (bad, ["kstest", "--data", str(bad)]),
+            "config_not_utf8": (bad, ["params", "--config", str(bad)]),
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(named) in err[0]
 
 
 class TestTrainCommand:
@@ -246,6 +266,17 @@ class TestKstestCommand:
         assert code == 0
         rr = float(capsys.readouterr().out.split("rr=")[1].split()[0])
         assert rr > 0.9
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--seed", "-1"], "seed"),
+        (["--window-len", "-3"], "window_len"),
+        (["--window-len", "0"], "window_len"),
+    ])
+    def test_bad_value_exits_with_one_line(self, tmp_path, dataset, capsys, flags, fragment):
+        assert main(["kstest", "--data", dataset, "--target", "OT",
+                     "--out-dir", str(tmp_path / "ks"), *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
 
     def test_seeded_determinism_bytes(self, tmp_path, dataset):
         outs = []

@@ -109,6 +109,11 @@ class TestSplit:
         with pytest.raises(InvalidParameterError):
             SplitSpec.by_months(12, 4, 4, "weekly")
 
+    @pytest.mark.parametrize("fractions", [(0.5, float("nan"), 0.5), (float("nan"),) * 3])
+    def test_nan_fraction_rejected(self, fractions):
+        with pytest.raises(InvalidParameterError):
+            SplitSpec.ratio(*fractions)
+
 
 class TestStandardizer:
     def test_train_split_becomes_standard(self):

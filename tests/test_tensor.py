@@ -1,5 +1,6 @@
 import gc
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -508,3 +509,91 @@ def test_all_ops_finite_difference_sweep(seed):
         return T.tensor_sum(T.tensor_sum(y, axis=0, keepdims=True))
 
     assert T.grad_check(elementwise_chain, [a, c]) < 1e-3
+
+
+class TestContextState:
+    """Grad mode and op hooks are context-local, nest, and survive exceptions."""
+
+    @staticmethod
+    def _hold_in_thread(cm, body=lambda: None):
+        # enter `cm` in a worker thread, run `body` there, and keep it entered
+        # until the returned release callback is called
+        entered, release = threading.Event(), threading.Event()
+
+        def worker():
+            with cm():
+                body()
+                entered.set()
+                release.wait(30)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        assert entered.wait(30)
+
+        def finish():
+            release.set()
+            thread.join()
+
+        return finish
+
+    def test_no_grad_in_another_thread_keeps_recording_here(self):
+        inner = []
+        x = T.Tensor([2.0], requires_grad=True)
+        finish = self._hold_in_thread(T.no_grad, lambda: inner.append(T.neg(x)))
+        try:
+            y = T.mul(x, x)
+        finally:
+            finish()
+        assert y.requires_grad and y._backward is not None
+        assert inner[0]._backward is None
+
+    def test_op_hook_sees_only_its_own_thread(self):
+        seen = []
+        finish = self._hold_in_thread(lambda: T.op_hook(lambda out: seen.append(out._op)),
+                                      lambda: T.neg(T.Tensor([1.0])))
+        try:
+            T.mul(T.add(T.Tensor([1.0]), 1.0), 2.0)
+        finally:
+            finish()
+        assert seen == ["neg"]
+
+    def test_nested_blocks_restore_outer_state(self):
+        outer, inner = [], []
+        x = T.Tensor([2.0], requires_grad=True)
+        with T.op_hook(lambda out: outer.append(out._op)):
+            with T.no_grad():
+                with T.op_hook(lambda out: inner.append(out._op)):
+                    assert T.neg(x)._backward is None
+                assert T.sqrt(x)._backward is None
+            assert T.mul(x, x)._backward is not None
+        assert T.add(x, x)._backward is not None
+        assert outer == ["neg", "sqrt", "mul"]
+        assert inner == ["neg"]
+
+    def test_state_restored_when_block_raises(self):
+        seen = []
+        x = T.Tensor([2.0], requires_grad=True)
+        with pytest.raises(ShapeError):
+            with T.op_hook(seen.append):
+                with T.no_grad():
+                    T.neg(x)
+                    T.add(x, T.Tensor([1.0, 2.0, 3.0]))
+        assert T.sqrt(x)._backward is not None
+        assert [out._op for out in seen] == ["neg"]
+
+    def test_hook_can_wrap_backward(self):
+        x = T.Tensor([3.0], requires_grad=True)
+
+        def double(out):
+            original = out._backward
+
+            def doubled():
+                out.grad = out.grad * 2.0
+                original()
+
+            out._backward = doubled
+
+        with T.op_hook(double):
+            loss = T.tensor_sum(T.mul(x, x))
+        loss.backward()
+        assert np.array_equal(x.grad, [24.0])

@@ -38,11 +38,22 @@ def corrupt_checkpoint(data: bytes, fault: str) -> bytes:
     """One malformed variant of a well-formed checkpoint file."""
     (blob_len,) = struct.unpack_from("<I", data, 12)
     head, blob, tail = data[:12], data[16 : 16 + blob_len], data[16 + blob_len :]
-    if fault in ("config", "meta"):
+    if fault in ("config", "meta", "seed", "heads", "l_in", "variates"):
         payload = json.loads(blob)
-        del payload[fault]
+        if fault in ("config", "meta"):
+            del payload[fault]
+        else:  # a value build_model rejects, or one the standardizer contradicts
+            bad = {"seed": -1, "heads": 0, "l_in": float("inf"), "variates": 3}
+            payload["config"][fault] = bad[fault]
         blob = json.dumps(payload).encode()
         return head + struct.pack("<I", len(blob)) + blob + tail
+    if fault in ("dim_2^40", "dim_2^64-1"):
+        # first dimension of the first tensor: far more bytes than the file holds
+        (name_len,) = struct.unpack_from("<I", tail, 4)
+        at = 16 + blob_len + 8 + name_len
+        assert struct.unpack_from("<I", data, at)[0] >= 1
+        dim = 2**40 if fault == "dim_2^40" else 2**64 - 1
+        return data[: at + 4] + struct.pack("<Q", dim) + data[at + 12 :]
     if fault == "trailing":
         return data + bytes(8)
     if fault == "renamed":
@@ -329,7 +340,8 @@ class TestCheckpoint:
         assert path.read_bytes() == (FIXTURES / name).read_bytes()
 
     @pytest.mark.parametrize("fault", ["config", "meta", "trailing", "renamed", "unknown",
-                                       "duplicate", "nan"])
+                                       "duplicate", "nan", "dim_2^40", "dim_2^64-1", "seed",
+                                       "heads", "l_in", "variates"])
     def test_malformed_fixture_rejected(self, tmp_path, fault):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(corrupt_checkpoint((FIXTURES / "tiny_fdnet.ckpt").read_bytes(), fault))

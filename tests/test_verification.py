@@ -35,7 +35,8 @@ class TestSuite:
     def test_default_tolerance_value(self):
         assert DEFAULT_TOLERANCE == 1e-3
 
-    @pytest.mark.parametrize("op", ["gelu", "conv2d_time", "matmul", "sum"])
+    @pytest.mark.parametrize("op", ["gelu", "conv2d_time", "matmul", "sum", "attention_time",
+                                    "sqrt"])
     def test_corrupted_op_detected(self, op):
         results = run_gradient_checks(corrupt_op=op)
         failing = {r.name for r in results if not r.passed}
