@@ -12,10 +12,23 @@ The plain block keeps temporal length; the downsampling block halves it
 time positions per variate through canonical attention.
 
 Parameters are read-only during forward; batched inference over distinct
-graphs is safe, and the branch sum always reduces oldest-to-newest.
+graphs is safe. Because branches share nothing, a large forward runs them on
+two threads: the branches are cut once, at construction, into two contiguous
+groups of near-equal work (FDNet {0, 1} | {2, 3, 4}, FUNet {0} | {1..4} at
+the default plan); a persistent helper thread runs the first group in a copy
+of the caller's context, so `no_grad` and op hooks reach it, while the
+calling thread runs the second, and numpy's OpenBLAS is held at one thread
+until both are done. Forwards below PARALLEL_MIN_ELEMENTS, and processes
+confined to one CPU, run the branches serially. Either way the outputs are
+collected in branch order and the branch sum reduces oldest-to-newest, so
+results are bitwise the same.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+from concurrent import futures
 
 import numpy as np
 
@@ -27,6 +40,35 @@ from .tensor import Tensor
 
 _PARAM_DOMAIN = 0
 _DROPOUT_DOMAIN = 1
+
+# Forwards with fewer input elements than this, counted as B * L_in * V *
+# embed_dim, run their branches serially. On the 2-vCPU Xeon the benchmark
+# runs on, two threads took 0.94-1.08x the serial time of an eval or train
+# forward from 2^10 to 2^17.2 elements (small ops hold the GIL for most of
+# their time) and 0.74-0.93x from 2^18.2 up, for both variants; two threads
+# on the gradient suite's 128-element models made it up to 2x slower.
+PARALLEL_MIN_ELEMENTS = 1 << 18
+
+
+def _new_helper():
+    """Make the persistent thread that runs a large forward's first branch group.
+
+    Its worker starts on first use. A forked child makes its own, because the
+    parent's worker thread does not exist there.
+    """
+    global _helper
+    _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="fdnet-branch")
+
+
+_new_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_helper)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _rng_stream(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -122,7 +164,11 @@ class DFEICOMBlock(Module):
 
 
 class _Branch(Module):
-    """One focal branch: embedding, block stack, flatten, linear head."""
+    """One focal branch: embedding, block stack, flatten, linear head.
+
+    `work` sums the temporal lengths entering its blocks, the branch's share
+    of a forward's cost.
+    """
 
     def __init__(self, index: int, length: int, depth: int, variant: str, d: int,
                  l_out: int, heads: int, dropout_p: float,
@@ -133,15 +179,18 @@ class _Branch(Module):
             self.blocks = [DFEInitialBlock(d, dropout_p, params, drops)
                            for _ in range(depth)]
             self.out_length = length
+            self.work = length * depth
         else:
             self.blocks = []
             current = length
+            self.work = 0
             for _ in range(depth):
                 if current < 2:
                     raise SequenceTooShortError(
                         f"branch {index}: length {length} cannot survive {depth} halvings"
                     )
                 self.blocks.append(DFEICOMBlock(d, heads, dropout_p, params, drops))
+                self.work += current
                 current = halved_length(current)
             self.out_length = current
         self.head = LinearHead(d * self.out_length, l_out, rng=params.next())
@@ -159,6 +208,10 @@ class _Branch(Module):
         # channel-major flatten: feature index = channel * length + time
         flat = T.reshape(h, (batch, d * length, variates))
         return self.head.forward(flat), h
+
+
+def _run_branches(pairs, mode: str) -> list[tuple[Tensor, Tensor]]:
+    return [branch.forward(x_slice, mode) for branch, x_slice in pairs]
 
 
 class _FocalModel(Module):
@@ -183,6 +236,10 @@ class _FocalModel(Module):
                     dropout_p, params, drops)
             for i, (length, depth) in enumerate(zip(plan.lengths, plan.depths))
         ]
+        # branches [:cut] go to the helper thread; cut where the larger group is least
+        work = [branch.work for branch in self.branches]
+        self._cut = min(range(1, len(work)),
+                        key=lambda k: max(sum(work[:k]), sum(work[k:])), default=0)
 
     @property
     def config(self) -> dict:
@@ -224,11 +281,22 @@ class _FocalModel(Module):
     def _run(self, x: Tensor, mode: str):
         self._check_input(x)
         slices = slice_input(x, self.plan)
-        outputs, reprs = [], []
-        for branch, x_slice in zip(self.branches, slices):
-            y, h = branch.forward(x_slice, mode)
-            outputs.append(y)
-            reprs.append(h)
+        pairs = list(zip(self.branches, slices))
+        batch, _, l_in, variates = x.shape
+        if (self._cut == 0 or batch * l_in * variates * self.embed_dim < PARALLEL_MIN_ELEMENTS
+                or _usable_cpus() < 2):
+            results = _run_branches(pairs, mode)
+        else:
+            with T.one_blas_thread():
+                head = _helper.submit(contextvars.copy_context().run, _run_branches,
+                                      pairs[:self._cut], mode)
+                try:
+                    tail = _run_branches(pairs[self._cut:], mode)
+                finally:
+                    futures.wait([head])
+            results = head.result() + tail
+        outputs = [y for y, _ in results]
+        reprs = [h for _, h in results]
         pred = outputs[0]
         for y in outputs[1:]:
             pred = T.add(pred, y)

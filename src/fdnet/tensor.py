@@ -30,7 +30,12 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
+import functools
+import glob
 import math
+import os
+import threading
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
@@ -93,6 +98,69 @@ def op_hook(fn: Callable[[Tensor], None]):
         yield
     finally:
         _state.reset(token)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*"):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+# Holders of one_blas_thread and the thread count the last of them restores.
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 1
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread inside the block, then restore it.
+
+    Overlapping holds, from nested blocks or other threads, share one: the
+    first to enter saves the thread count and the last to leave restores it.
+    A no-op when numpy's OpenBLAS thread functions cannot be found.
+    """
+    global _blas_users, _blas_saved
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_saved)
+
+
+def _release_blas_hold_in_child():
+    # threads that held at the fork do not exist in the child: drop their hold
+    global _blas_lock, _blas_users
+    _blas_lock = threading.Lock()
+    if _blas_users:
+        _blas_users = 0
+        _openblas()[1](_blas_saved)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_release_blas_hold_in_child)
 
 
 class Tensor:

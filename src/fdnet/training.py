@@ -96,6 +96,8 @@ class TrainConfig:
     seed: int = 4321
 
     def __post_init__(self):
+        if not math.isfinite(self.learning_rate):
+            raise InvalidParameterError(f"learning rate must be finite, got {self.learning_rate}")
         if min(self.learning_rate, self.batch_size, self.max_epochs, self.patience) <= 0:
             raise InvalidParameterError("all training settings must be positive")
         if self.seed < 0:

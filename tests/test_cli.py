@@ -94,6 +94,8 @@ class TestBadInput:
         (["evaluate", "--m", "0"], "periodicity"),
         (["train", "--seed", "-1"], "seed"),
         (["params", "--seed", "-1"], "seed"),
+        (["train", "--lr", "nan"], "learning rate"),
+        (["train", "--lr", "inf"], "learning rate"),
     ])
     def test_bad_value_fails_before_data_loads(self, tmp_path, capsys, argv, fragment):
         absent = str(tmp_path / "absent")

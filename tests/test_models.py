@@ -1,8 +1,14 @@
+import collections
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
+from fdnet import models as M
 from fdnet import tensor as T
-from fdnet.errors import NumericError, SequenceTooShortError, ShapeError
+from fdnet.errors import DegenerateWeightError, NumericError, SequenceTooShortError, ShapeError
+from fdnet.focal import slice_input
 from fdnet.models import (
     DFEICOMBlock,
     DFEInitialBlock,
@@ -324,3 +330,171 @@ class TestGradientThroughModels:
 
         err = T.grad_check(f, model.parameters())
         assert err < 1e-3
+
+
+def big_model(variant, seed=11):
+    """A model and input just above the size where branches go to two threads."""
+    model = build_model(variant, l_in=64, l_out=8, f=4, alpha=0.5, n_layers=2,
+                        embed_dim=8, seed=seed)
+    x = Tensor(np.random.default_rng(seed).normal(size=(128, 1, 64, 4)))
+    assert 128 * 64 * 4 * 8 >= M.PARALLEL_MIN_ELEMENTS and model._cut > 0
+    return model, x
+
+
+def serial_run(model, x, mode):
+    """The plain one-thread loop over branch.forward that _run must reproduce."""
+    results = [branch.forward(s, mode) for branch, s in zip(model.branches,
+                                                            slice_input(x, model.plan))]
+    pred = results[0][0]
+    for y, _ in results[1:]:
+        pred = T.add(pred, y)
+    return pred, [y for y, _ in results], [h for _, h in results]
+
+
+def train_grads(model, pred):
+    params = model.parameters()
+    T.tensor_sum(T.mul(pred, pred)).backward(params)
+    return [p.grad for p in params]
+
+
+def all_equal(xs, ys):
+    return len(xs) == len(ys) and all(np.array_equal(a, b) for a, b in zip(xs, ys))
+
+
+class TestBranchThreads:
+    """Large forwards split the branches over two threads, bitwise like the serial loop."""
+
+    def test_default_split_balances_block_work(self):
+        fd = build_model("fdnet", 672, 96, 5, 0.5, 5, 8, 1)
+        fu = build_model("funet", 672, 96, 5, 0.5, 5, 8, 1)
+        assert [b.work for b in fd.branches] == [336, 336, 252, 168, 210]
+        assert [b.work for b in fu.branches] == [630, 294, 126, 42, 42]
+        assert (fd._cut, fu._cut) == (2, 1)
+
+    def test_single_branch_has_no_split(self):
+        model = build_model("fdnet", 64, 8, 1, 0.5, 2, 8, 1)
+        assert model._cut == 0
+
+    @pytest.mark.parametrize("variant", ["fdnet", "funet"])
+    def test_eval_matches_serial_loop_bitwise(self, variant):
+        model, x = big_model(variant)
+        with T.no_grad():
+            pred, outputs = model.forward(x, "eval")
+            reprs = model.representations(x, "eval")
+            ref_pred, ref_outputs, ref_reprs = serial_run(model, x, "eval")
+        assert np.array_equal(pred.data, ref_pred.data)
+        assert all_equal([o.data for o in outputs], [o.data for o in ref_outputs])
+        assert all_equal([h.data for h in reprs], [h.data for h in ref_reprs])
+
+    @pytest.mark.parametrize("variant", ["fdnet", "funet"])
+    def test_train_steps_match_serial_loop_bitwise(self, variant):
+        # twin models: same parameters and the same dropout streams
+        model, x = big_model(variant)
+        twin, _ = big_model(variant)
+        for _ in range(2):
+            pred, _ = model.forward(x, "train")
+            ref_pred, _, _ = serial_run(twin, x, "train")
+            assert np.array_equal(pred.data, ref_pred.data)
+            assert all_equal(train_grads(model, pred), train_grads(twin, ref_pred))
+
+    def test_op_hook_sees_the_serial_ops(self):
+        model, x = big_model("funet")
+        seen, ref = [], []
+        with T.op_hook(lambda out: seen.append(out._op)):
+            model.forward(x, "train")
+        with T.op_hook(lambda out: ref.append(out._op)):
+            serial_run(model, x, "train")
+        assert collections.Counter(seen) == collections.Counter(ref)
+
+    def test_threads_used_match_usable_cpus(self):
+        model, x = big_model("fdnet")
+        idents, blas = set(), set()
+        api = T._openblas()
+
+        def hook(out):
+            idents.add(threading.get_ident())
+            if api is not None and threading.get_ident() != caller:
+                blas.add(api[0]())
+
+        caller = threading.get_ident()
+
+        with T.no_grad(), T.op_hook(hook):
+            model.forward(x, "eval")
+        if M._usable_cpus() > 1:
+            assert len(idents) == 2
+            assert api is None or blas == {1}  # held while the helper runs
+        else:
+            assert idents == {threading.get_ident()}
+
+    def test_no_grad_reaches_the_helper(self):
+        model, x = big_model("fdnet")
+        made = []
+        with T.no_grad(), T.op_hook(lambda out: made.append(out._backward)):
+            _, outputs = model.forward(x, "train")
+        assert made and all(backward is None for backward in made)
+        assert not any(y.requires_grad for y in outputs)
+
+    @pytest.mark.parametrize("branch", [0, -1])
+    def test_branch_error_keeps_type_and_blas_threads(self, branch):
+        # branch 0 runs on the helper thread, the newest on the calling one
+        model, x = big_model("fdnet")
+        conv = model.branches[branch].blocks[0].conv1
+        conv.v.data[...] = 0.0
+        api = T._openblas()
+        before = api[0]() if api is not None else None
+        with pytest.raises(DegenerateWeightError):
+            with T.no_grad():
+                model.forward(x, "eval")
+        if api is not None:
+            assert api[0]() == before
+
+    def test_concurrent_forwards_from_user_threads(self):
+        # three user threads, more than the cores, share the one helper
+        model, x = big_model("funet")
+        with T.no_grad():
+            expected = model.forward(x, "eval")[0].data
+        api = T._openblas()
+        before = api[0]() if api is not None else None
+        results, start = [None] * 3, threading.Barrier(3)
+
+        def worker(i):
+            start.wait(30)
+            with T.no_grad():
+                results[i] = model.forward(x, "eval")[0].data
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(r is not None and np.array_equal(r, expected) for r in results)
+        if api is not None:
+            assert api[0]() == before
+
+    def test_below_gate_runs_on_the_calling_thread(self):
+        model, v = tiny_fdnet()
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 1, 16, v)))
+        idents = set()
+        with T.op_hook(lambda out: idents.add(threading.get_ident())):
+            model.forward(x, "train")
+        assert idents == {threading.get_ident()}
+
+    def test_forked_child_runs_a_large_forward(self):
+        model, x = big_model("fdnet")
+        with T.no_grad():
+            expected = model.forward(x, "eval")[0].data  # starts the helper thread
+
+        def child():
+            with T.no_grad():
+                pred = model.forward(x, "eval")[0].data
+            assert np.array_equal(pred, expected)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(60)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join()
+            pytest.fail("forked child hung in a large forward")
+        assert proc.exitcode == 0

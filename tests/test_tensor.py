@@ -1,5 +1,7 @@
 import gc
 import math
+import multiprocessing
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -597,3 +599,97 @@ class TestContextState:
             loss = T.tensor_sum(T.mul(x, x))
         loss.backward()
         assert np.array_equal(x.grad, [24.0])
+
+
+@pytest.mark.skipif(T._openblas() is None, reason="numpy's OpenBLAS thread functions not found")
+class TestOneBlasThread:
+    def test_overlapping_holds_restore_only_when_the_last_leaves(self):
+        get, set_ = T._openblas()
+        before = get()
+        set_(2)
+        try:
+            entered, release = threading.Event(), threading.Event()
+
+            def other():
+                with T.one_blas_thread():
+                    entered.set()
+                    release.wait(30)
+
+            thread = threading.Thread(target=other)
+            thread.start()
+            assert entered.wait(30)
+            try:
+                with T.one_blas_thread():
+                    assert get() == 1
+                # the other thread still holds
+                assert get() == 1
+            finally:
+                release.set()
+                thread.join(30)
+            assert not thread.is_alive() and get() == 2
+        finally:
+            set_(before)
+
+    def test_forked_child_drops_a_hold_made_by_another_thread(self):
+        get, _ = T._openblas()
+        before = get()
+        entered, release = threading.Event(), threading.Event()
+
+        def holder():
+            with T.one_blas_thread():
+                entered.set()
+                release.wait(30)
+
+        def child():
+            assert get() == before and T._blas_users == 0
+            with T.one_blas_thread():
+                assert get() == 1
+            assert get() == before
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        try:
+            assert entered.wait(30)
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+            proc.join(30)
+            if proc.exitcode is None:
+                proc.kill()
+        finally:
+            release.set()
+            thread.join(30)
+        assert proc.exitcode == 0 and not thread.is_alive()
+
+    def test_many_threads_leave_the_count_restored(self):
+        # more holders than cores, switching often: a lost update to the
+        # holder count would leave OpenBLAS at one thread
+        get, set_ = T._openblas()
+        before, interval = get(), sys.getswitchinterval()
+        set_(2)
+        sys.setswitchinterval(1e-6)
+        try:
+            def hold_repeatedly():
+                for _ in range(300):
+                    with T.one_blas_thread():
+                        assert get() == 1
+
+            threads = [threading.Thread(target=hold_repeatedly) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert get() == 2 and T._blas_users == 0
+        finally:
+            sys.setswitchinterval(interval)
+            set_(before)
+
+    def test_restored_when_block_raises(self):
+        get, _ = T._openblas()
+        before = get()
+        with pytest.raises(ShapeError):
+            with T.one_blas_thread():
+                with T.one_blas_thread():
+                    assert get() == 1
+                    raise ShapeError("boom")
+        assert get() == before
