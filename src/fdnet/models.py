@@ -15,20 +15,23 @@ Parameters are read-only during forward; batched inference over distinct
 graphs is safe. Because branches share nothing, a large forward runs them on
 two threads: the branches are cut once, at construction, into two contiguous
 groups of near-equal work (FDNet {0, 1} | {2, 3, 4}, FUNet {0} | {1..4} at
-the default plan); a persistent helper thread runs the first group in a copy
-of the caller's context, so `no_grad` and op hooks reach it, while the
-calling thread runs the second, and numpy's OpenBLAS is held at one thread
-until both are done. Forwards below PARALLEL_MIN_ELEMENTS, and processes
-confined to one CPU, run the branches serially. Either way the outputs are
-collected in branch order and the branch sum reduces oldest-to-newest, so
-results are bitwise the same.
+the default plan). `tensor._run_two` runs the first group on a persistent
+helper thread in a copy of the caller's context, so `no_grad` and op hooks
+reach it, and the second on the calling thread, with numpy's OpenBLAS held
+at one thread until both are done. Each group's graph nodes carry its lane,
+so a train step's backward runs the two groups' subgraphs on the same two
+threads after the loss and branch-sum nodes. Forwards below
+PARALLEL_MIN_ELEMENTS, and processes confined to one CPU, run the branches
+serially and their backward on one thread. Either way the outputs are
+collected in branch order, the branch sum reduces oldest-to-newest and every
+gradient accumulates in the serial order, so results and gradients are
+bitwise the same.
 """
 
 from __future__ import annotations
 
-import contextvars
+import functools
 import os
-from concurrent import futures
 
 import numpy as np
 
@@ -48,21 +51,6 @@ _DROPOUT_DOMAIN = 1
 # their time) and 0.74-0.93x from 2^18.2 up, for both variants; two threads
 # on the gradient suite's 128-element models made it up to 2x slower.
 PARALLEL_MIN_ELEMENTS = 1 << 18
-
-
-def _new_helper():
-    """Make the persistent thread that runs a large forward's first branch group.
-
-    Its worker starts on first use. A forked child makes its own, because the
-    parent's worker thread does not exist there.
-    """
-    global _helper
-    _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="fdnet-branch")
-
-
-_new_helper()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_helper)
 
 
 def _usable_cpus() -> int:
@@ -287,14 +275,9 @@ class _FocalModel(Module):
                 or _usable_cpus() < 2):
             results = _run_branches(pairs, mode)
         else:
-            with T.one_blas_thread():
-                head = _helper.submit(contextvars.copy_context().run, _run_branches,
-                                      pairs[:self._cut], mode)
-                try:
-                    tail = _run_branches(pairs[self._cut:], mode)
-                finally:
-                    futures.wait([head])
-            results = head.result() + tail
+            head, tail = T._run_two(functools.partial(_run_branches, pairs[:self._cut], mode),
+                                    functools.partial(_run_branches, pairs[self._cut:], mode))
+            results = head + tail
         outputs = [y for y, _ in results]
         reprs = [h for _, h in results]
         pred = outputs[0]

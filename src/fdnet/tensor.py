@@ -14,10 +14,20 @@ identity is the node handle. Backward frees the graph as it goes: each node
 drops its closure, parents and gradient once its closure has run, so every
 activation is released as soon as backward is done with it and a spent
 graph is reclaimed by reference counting alone. A graph can therefore be
-backpropagated once; a second `backward()` through it raises. Grad mode
+backpropagated once; a second `backward()` through it raises, and
+`release_graph` frees a graph that will not be backpropagated. Grad mode
 (`no_grad`) and op hooks (`op_hook`) live in one `ContextVar`, so both are
 context-local: neither reaches ops recorded in another thread or asyncio
 task, and separate graphs may be built from separate threads.
+
+Two lanes: `_run_two(fn_a, fn_b)` runs fn_a on one persistent helper thread
+and fn_b on the caller, with numpy's OpenBLAS held at one thread, and each
+node records the lane (1 or 2) it was made in; nodes made outside are lane 0,
+the trunk. A model forward that ran its branch groups this way gets a
+backward on the same two threads: the trunk runs first, then each lane's
+nodes on their own thread. Backward does this only when every node's
+gradient still accumulates in serial pop order (see `Tensor.backward`), so
+gradients are bitwise those of the one-thread pass.
 
 Broadcast rule for binary elementwise ops: the output always has the shape of
 the first operand `a`; the second operand `b` must either match exactly or
@@ -37,6 +47,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Iterable, Sequence
+from concurrent import futures
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -71,14 +82,17 @@ DIFFERENTIABLE_OPS = (
     "sqrt",
 )
 
-# (grad enabled, hooks) of the current context; only no_grad and op_hook set it.
-_state = contextvars.ContextVar("fdnet_tensor_state", default=(True, ()))
+# (grad enabled, hooks, lane) of the current context; only no_grad, op_hook
+# and _run_two set it. Lane 0 is the caller; _run_two's two functions run in
+# lanes 1 and 2.
+_state = contextvars.ContextVar("fdnet_tensor_state", default=(True, (), 0))
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph construction inside the block (eval-mode speed-up)."""
-    token = _state.set((False, _state.get()[1]))
+    _, hooks, lane = _state.get()
+    token = _state.set((False, hooks, lane))
     try:
         yield
     finally:
@@ -92,8 +106,8 @@ def op_hook(fn: Callable[[Tensor], None]):
     A hook may read `out._op` and wrap `out._backward` (None when no graph
     was recorded for the op). Hooks run in the order they were entered.
     """
-    grad_enabled, hooks = _state.get()
-    token = _state.set((grad_enabled, hooks + (fn,)))
+    grad_enabled, hooks, lane = _state.get()
+    token = _state.set((grad_enabled, hooks + (fn,), lane))
     try:
         yield
     finally:
@@ -159,12 +173,58 @@ def _release_blas_hold_in_child():
         _openblas()[1](_blas_saved)
 
 
+def _new_helper():
+    """Make the persistent thread that runs _run_two's first function.
+
+    Its worker starts on first use. A forked child makes its own, because the
+    parent's worker thread does not exist there.
+    """
+    global _helper
+    _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="fdnet-branch")
+
+
+_new_helper()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_release_blas_hold_in_child)
+    os.register_at_fork(after_in_child=_new_helper)
+
+
+def _in_lane(lane: int, fn: Callable[[], object]):
+    grad_enabled, hooks, _ = _state.get()
+    token = _state.set((grad_enabled, hooks, lane))
+    try:
+        return fn()
+    finally:
+        _state.reset(token)
+
+
+def _run_two(fn_a: Callable[[], object], fn_b: Callable[[], object]) -> tuple:
+    """Run fn_a on the helper thread in lane 1 and fn_b here in lane 2.
+
+    fn_a runs in a copy of the caller's context, so `no_grad` and op hooks
+    reach it. numpy's OpenBLAS is held at one thread until both are done,
+    and an exception from either leaves only after both have stopped.
+    Called from inside a lane, for instance by a hook on the helper thread,
+    both run serially here: waiting on the helper from the helper would
+    never end. Returns (fn_a(), fn_b()).
+    """
+    if _state.get()[2]:
+        return fn_a(), fn_b()
+    with one_blas_thread():
+        head = _helper.submit(contextvars.copy_context().run, _in_lane, 1, fn_a)
+        try:
+            tail = _in_lane(2, fn_b)
+        finally:
+            futures.wait([head])
+    return head.result(), tail
 
 
 class Tensor:
     """A float64 n-d array participating in a recorded computation graph."""
+
+    # _run_two lane that recorded this node; leaves and nodes recorded
+    # outside _run_two keep this class default, lane 0 (the trunk)
+    _lane = 0
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -209,6 +269,16 @@ class Tensor:
         backward again through a released node raises
         InvalidArgumentError.
 
+        When the forward recorded nodes in both lanes of `_run_two` (a large
+        model forward's two branch groups), the trunk, the nodes recorded
+        outside the lanes, runs first on this thread, and then each lane's
+        nodes run on that lane's thread. That happens only when it keeps
+        every gradient's accumulation order: the trunk pops before every
+        lane node, a lane node's grad-requiring parents are leaves or nodes
+        of its own lane, and no leaf is a parent in both lanes. Otherwise all
+        nodes run here in one pass. Either way gradients are bitwise the
+        same.
+
         If `params` is given, every listed tensor is guaranteed a gradient
         buffer afterward (zeros when it does not contribute to the loss).
         """
@@ -222,15 +292,14 @@ class Tensor:
                 "backward through a graph that an earlier backward already released"
             )
         self._accumulate(np.ones_like(self.data))
-        while order:
-            node = order.pop()
-            if node._backward is None:
-                continue
-            if node.grad is not None:
-                node._backward()
-            node._backward = None
-            node._parents = ()
-            node.grad = None
+        parts = _split_lanes(order)
+        if parts is None:
+            _backprop(order)
+        else:
+            del order  # each part frees its nodes as they pop
+            trunk, first, second = parts
+            _backprop(trunk)
+            _run_two(functools.partial(_backprop, first), functools.partial(_backprop, second))
         if params is not None:
             for p in params:
                 if p.grad is None:
@@ -276,17 +345,74 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _split_lanes(order: list[Tensor]) -> tuple[list[Tensor], ...] | None:
+    """(trunk, lane 1, lane 2) subsequences of `order`'s recorded nodes, or None.
+
+    None unless both lanes are non-empty and running the trunk, then each
+    lane on its own, keeps every node's gradient accumulation order (see
+    `Tensor.backward`).
+    """
+    parts: tuple[list[Tensor], ...] = ([], [], [])
+    leaf_lanes: dict[int, int] = {}
+    for node in order:  # parents first: the reverse of pop order
+        if node._backward is None:
+            continue
+        lane = node._lane
+        if lane:
+            if parts[0]:
+                return None
+            for p in node._parents:
+                if not p.requires_grad:
+                    continue
+                if p._backward is None:
+                    if leaf_lanes.setdefault(id(p), lane) != lane:
+                        return None
+                elif p._lane != lane:
+                    return None
+        parts[lane].append(node)
+    return parts if parts[1] and parts[2] else None
+
+
+def _release(node: Tensor):
+    node._backward = None
+    node._parents = ()
+    node.grad = None
+
+
+def _backprop(nodes: list[Tensor]):
+    """Pop `nodes` from the end, running and then releasing each recorded one."""
+    while nodes:
+        node = nodes.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
+            node._backward()
+        _release(node)
+
+
+def release_graph(root: Tensor):
+    """Free the graph under `root` without backpropagating it.
+
+    Each recorded node is released as backward releases it, so the graph
+    goes by reference counting alone, not the cyclic garbage collector.
+    """
+    for node in _toposort(root):
+        if node._backward is not None:
+            _release(node)
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _record(out: Tensor, op: str, parents: tuple[Tensor, ...], backward):
     out._op = op
-    grad_enabled, hooks = _state.get()
+    grad_enabled, hooks, lane = _state.get()
     if grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
+        out._lane = lane
     for hook in hooks:
         hook(out)
 

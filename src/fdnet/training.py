@@ -161,6 +161,7 @@ def train(model, train_windows: WindowSampler, val_windows: WindowSampler,
             pred, _ = model.forward(Tensor(xb), "train")
             loss = mse_loss(pred, Tensor(yb))
             if not np.isfinite(loss.data):
+                T.release_graph(loss)
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {result.steps}"
                 )

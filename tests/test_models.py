@@ -1,13 +1,21 @@
 import collections
+import gc
 import multiprocessing
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from fdnet import models as M
 from fdnet import tensor as T
-from fdnet.errors import DegenerateWeightError, NumericError, SequenceTooShortError, ShapeError
+from fdnet.errors import (
+    DegenerateWeightError,
+    InvalidArgumentError,
+    NumericError,
+    SequenceTooShortError,
+    ShapeError,
+)
 from fdnet.focal import slice_input
 from fdnet.models import (
     DFEICOMBlock,
@@ -490,11 +498,139 @@ class TestBranchThreads:
                 pred = model.forward(x, "eval")[0].data
             assert np.array_equal(pred, expected)
 
-        proc = multiprocessing.get_context("fork").Process(target=child)
-        proc.start()
-        proc.join(60)
-        if proc.exitcode is None:
-            proc.kill()
-            proc.join()
-            pytest.fail("forked child hung in a large forward")
-        assert proc.exitcode == 0
+        run_in_forked_child(child)
+
+    def test_hook_on_the_helper_runs_a_large_forward(self):
+        # the nested forward must not wait on the helper thread it runs on
+        model, x = big_model("fdnet")
+        with T.no_grad():
+            expected = serial_run(model, x, "eval")[0].data
+
+        def child():
+            started, nested = [], []
+
+            def hook(out):
+                if not started and threading.current_thread().name.startswith("fdnet-branch"):
+                    started.append(True)
+                    nested.append(model.forward(x, "eval")[0].data)
+
+            with T.no_grad(), T.op_hook(hook):
+                pred = model.forward(x, "eval")[0].data
+            assert np.array_equal(pred, expected)
+            assert len(nested) == (M._usable_cpus() > 1)
+            assert all(np.array_equal(y, expected) for y in nested)
+
+        run_in_forked_child(child)
+
+
+def run_in_forked_child(child):
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(60)
+    if proc.exitcode is None:
+        proc.kill()
+        proc.join()
+        pytest.fail("forked child hung in a large forward")
+    assert proc.exitcode == 0
+
+
+def traced_train_step(model, x):
+    """Gradients of a train step, and the threads its backward closures ran on."""
+    idents = set()
+
+    def hook(out):
+        backward = out._backward
+        if backward is not None:
+            def traced():
+                idents.add(threading.get_ident())
+                backward()
+
+            out._backward = traced
+
+    with T.op_hook(hook):
+        pred, _ = model.forward(x, "train")
+    return train_grads(model, pred), idents
+
+
+class TestBackwardThreads:
+    """A large step's backward runs each branch group on its forward thread, bitwise."""
+
+    def test_backward_runs_on_the_forward_threads(self):
+        model, x = big_model("fdnet")
+        assert len(traced_train_step(model, x)[1]) == min(2, M._usable_cpus())
+        tiny, v = tiny_fdnet()
+        small = Tensor(np.random.default_rng(3).normal(size=(2, 1, 16, v)))
+        assert traced_train_step(tiny, small)[1] == {threading.get_ident()}
+
+    @pytest.mark.parametrize("case", ["input_grad", "tied_leaf"])
+    def test_serial_fallback_matches_serial_pass(self, case):
+        # a grad-requiring input puts trunk nodes (its slices) under the lanes;
+        # a head bias tied between branch 0 (lane 1) and the newest branch
+        # (lane 2) is a leaf both lanes accumulate into
+        model, x = big_model("fdnet")
+        twin, _ = big_model("fdnet")
+        if case == "tied_leaf":
+            for m in (model, twin):
+                m.branches[-1].head.bias = m.branches[0].head.bias
+        xa, xb = (Tensor(x.data, requires_grad=case == "input_grad") for _ in range(2))
+        grads, idents = traced_train_step(model, xa)
+        ref_pred, _, _ = serial_run(twin, xb, "train")
+        assert all_equal(grads, train_grads(twin, ref_pred))
+        assert idents == {threading.get_ident()}
+        if case == "input_grad":
+            assert np.array_equal(xa.grad, xb.grad)
+
+    def test_lane_error_keeps_type_and_blas_threads(self):
+        model, x = big_model("fdnet")
+        twin, _ = big_model("fdnet")
+        head = model.branches[0].head  # branch 0 is in lane 1
+        forward, failed_on = head.forward, []
+
+        def failing_forward(features):
+            out = forward(features)
+
+            def fail():
+                failed_on.append(threading.current_thread().name)
+                raise NumericError("a lane-1 backward failed")
+
+            out._backward = fail
+            return out
+
+        head.forward = failing_forward
+        api = T._openblas()
+        before = api[0]() if api is not None else None
+        pred, _ = model.forward(x, "train")
+        with pytest.raises(NumericError, match="lane-1"):
+            train_grads(model, pred)
+        assert len(failed_on) == 1
+        if M._usable_cpus() > 1:
+            assert failed_on[0].startswith("fdnet-branch")
+        if api is not None:
+            assert api[0]() == before
+        # a later step still works: same parameters, dropout streams in step
+        del head.forward
+        for p in model.parameters():
+            p.zero_grad()
+        serial_run(twin, x, "train")
+        pred, _ = model.forward(x, "train")
+        ref_pred, _, _ = serial_run(twin, x, "train")
+        assert all_equal(train_grads(model, pred), train_grads(twin, ref_pred))
+
+    def test_lane_intermediates_freed_by_backward_without_gc(self):
+        model, x = big_model("funet")
+        refs = []
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with T.op_hook(lambda out: refs.append(weakref.ref(out))):
+                pred = model.forward(x, "train")[0]
+            loss = T.tensor_sum(T.mul(pred, pred))
+            del pred
+            loss.backward(model.parameters())
+            alive = [r for r in refs if r() is not None]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(refs) > 100 and alive == []
+        with pytest.raises(InvalidArgumentError):
+            loss.backward()

@@ -601,6 +601,47 @@ class TestContextState:
         assert np.array_equal(x.grad, [24.0])
 
 
+def _serial_two(fn_a, fn_b):
+    return fn_a(), fn_b()
+
+
+def _lane_graph(case, w, v, run_two):
+    """A scalar loss over nodes made in _run_two's lanes (or all in lane 0)."""
+    if case == "cross_lane":  # a lane-1 node with a lane-2 parent
+        a1, b1 = run_two(lambda: T.mul(w, w), lambda: T.gelu(T.mul(v, v)))
+        a2, b2 = run_two(lambda: T.mul(b1, w), lambda: T.gelu(b1))
+        return T.tensor_sum(T.add(T.add(a2, b2), a1))
+    a, b = run_two(lambda: T.gelu(T.mul(w, w)), lambda: T.gelu(T.mul(v, v)))
+    if case == "trunk_after":  # a trunk node on w pops after the lanes
+        return T.tensor_sum(T.add(T.add(a, b), T.mul(w, 3.0)))
+    return T.tensor_sum(T.add(a, b))
+
+
+class TestBackwardLanes:
+    @pytest.mark.parametrize("case", ["split", "trunk_after", "cross_lane"])
+    def test_lanes_run_apart_only_when_order_is_kept(self, case):
+        grads, idents = [], set()
+
+        def hook(out):
+            backward = out._backward
+            if backward is not None:
+                def traced():
+                    idents.add(threading.get_ident())
+                    backward()
+
+                out._backward = traced
+
+        for run_two in (_serial_two, T._run_two):
+            w, v = (T.Tensor(rand(64, seed), requires_grad=True) for seed in (1, 2))
+            idents.clear()
+            with T.op_hook(hook):
+                loss = _lane_graph(case, w, v, run_two)
+            loss.backward()
+            grads.append((w.grad, v.grad))
+        assert all(np.array_equal(a, b) for a, b in zip(*grads))
+        assert len(idents) == (2 if case == "split" else 1)
+
+
 @pytest.mark.skipif(T._openblas() is None, reason="numpy's OpenBLAS thread functions not found")
 class TestOneBlasThread:
     def test_overlapping_holds_restore_only_when_the_last_leaves(self):

@@ -271,8 +271,19 @@ class TestTrain:
         model.branches[0].head.weight.data[:] = 1e200  # primed to overflow
         cfg = TrainConfig(learning_rate=1.0, batch_size=16, max_epochs=2,
                           patience=2, seed=5)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
-            train(model, tw, vw, cfg)
+        refs = []
+        was_enabled = gc.isenabled()
+        gc.disable()  # the step's graph must go by reference counting alone
+        try:
+            with (np.errstate(over="ignore", invalid="ignore"),
+                  T.op_hook(lambda out: refs.append(weakref.ref(out)))):
+                with pytest.raises(TrainingDivergedError):
+                    train(model, tw, vw, cfg)
+            alive = [r for r in refs if r() is not None]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(refs) > 50 and alive == []
 
     def test_restores_best_params(self):
         frame = sine_frame(200)
