@@ -50,7 +50,6 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent import futures
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .errors import (
@@ -568,6 +567,16 @@ def conv2d_time(
     The variate axis has kernel 1, stride 1 and no padding, so the output at
     variate v depends on input at variate v alone. Time padding is zeros;
     L' = floor((L + 2*pad_t - k) / stride_t) + 1.
+
+    The input is copied once, time-major and zero-padded, to xt (B, Lp, V,
+    Cin); the im2col rows (B, L', V, Cin, k) are k strided slices of xt (xt
+    itself when k = 1 and stride 1). One GEMM makes every output, and its
+    transpose plus the bias is written into the output in one pass. Backward
+    runs one GEMM for the weight gradient and one product per tap for the
+    input gradient. Only plain copies surround these products, and each gets
+    the operands that the np.pad + sliding_window_view + einsum formulation
+    gives it, so outputs and gradients are bitwise the same as that
+    formulation's (tests/test_tensor.py keeps it as an oracle).
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     k = weight.shape[2] if weight.data.ndim == 4 else -1
@@ -583,38 +592,57 @@ def conv2d_time(
         bias = _as_tensor(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d_time bias must be ({cout},), got {bias.shape}")
-    batch, _cin, length, variates = x.shape
+    batch, cin, length, variates = x.shape
     out_len = _conv_out_len(length, k, stride_t, pad_t, "conv2d_time")
+    span = stride_t * (out_len - 1) + 1  # time steps from a tap's first to last read
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad_t, pad_t), (0, 0))) if pad_t else x.data
-    windows = sliding_window_view(xp, k, axis=2)[:, :, ::stride_t, :, :]
+    xt = np.empty((batch, length + 2 * pad_t, variates, cin))
+    xt[:, :pad_t] = 0.0
+    xt[:, pad_t + length:] = 0.0
+    xt[:, pad_t : pad_t + length] = x.data.transpose(0, 2, 3, 1)
+    if k == 1 and stride_t == 1:
+        rows = xt
+    else:
+        rows = np.empty((batch, out_len, variates, cin, k))
+        for i in range(k):
+            rows[..., i] = xt[:, i : i + span : stride_t]
     # GEMM with one row per (b, t, v) element: every output element reduces
     # over (c, k) in the same fixed order, so permuting variates permutes
     # output columns bitwise.
-    rows = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4))
-    rows2d = rows.reshape(batch * out_len * variates, x.shape[1] * k)
-    w2d = weight.data.reshape(cout, x.shape[1] * k)
+    rows2d = rows.reshape(batch * out_len * variates, cin * k)
+    w2d = weight.data.reshape(cout, cin * k)
     y = (rows2d @ w2d.T).reshape(batch, out_len, variates, cout).transpose(0, 3, 1, 2)
-    if bias is not None:
-        y = y + bias.data.reshape(1, cout, 1, 1)
-    out = Tensor(np.ascontiguousarray(y))
+    out_data = np.empty((batch, cout, out_len, variates))
+    if bias is None:
+        out_data[...] = y
+    else:
+        np.add(y, bias.data.reshape(1, cout, 1, 1), out=out_data)
+    out = Tensor(out_data)
 
     def backward():
         gy = out.grad
-        gy_rows = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(
-            batch * out_len * variates, cout
-        )
         if weight.requires_grad:
+            gy_rows = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(-1, cout)
             gw = gy_rows.T @ rows2d
-            weight._accumulate(gw.reshape(cout, x.shape[1], k, 1))
+            weight._accumulate(gw.reshape(cout, cin, k, 1))
         if bias is not None and bias.requires_grad:
             bias._accumulate(gy.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gxp = np.zeros((batch, x.shape[1], length + 2 * pad_t, variates))
-            w3 = weight.data[:, :, :, 0]
+            # Tap i's input gradient is the product that
+            # np.einsum("botv,oc->bctv", gy, tap_i) runs: the tap's (Cin, Cout)
+            # transpose times gy as (Cout, B*L'*V), a view where numpy can
+            # merge those axes and a copy otherwise. A contiguous tap keeps
+            # the product on BLAS with bitwise the same sums; only a
+            # matrix-vector product (one column, Cin > 1) needs einsum's
+            # strided tap, which numpy multiplies in its own loop.
+            gy_cols = gy.transpose(1, 0, 2, 3).reshape(cout, -1)
+            strided = gy_cols.shape[1] == 1 and cin > 1
+            gxp = np.zeros((batch, cin, length + 2 * pad_t, variates))
             for i in range(k):
-                contrib = np.einsum("botv,oc->bctv", gy, w3[:, :, i], optimize=True)
-                gxp[:, :, i : i + stride_t * out_len : stride_t, :] += contrib
+                tap = weight.data[:, :, i, 0]
+                tap_t = tap.T if strided else np.ascontiguousarray(tap).T
+                contrib = (tap_t @ gy_cols).reshape(cin, batch, out_len, variates)
+                gxp[:, :, i : i + span : stride_t, :] += contrib.transpose(1, 0, 2, 3)
             x._accumulate(gxp[:, :, pad_t : pad_t + length, :])
 
     _record(out, "conv2d_time", tuple(t for t in (x, weight, bias) if t is not None), backward)
@@ -624,20 +652,29 @@ def conv2d_time(
 def maxpool_time(x: Tensor, k: int = 3, stride_t: int = 2, pad_t: int = 1) -> Tensor:
     """Max-pool along time: (B,C,L,V) -> (B,C,L',V) with -inf padding.
 
-    Same output-length rule as conv2d_time. Backward routes the gradient to
-    the argmax position of each window, first occurrence on ties.
+    Same output-length rule as conv2d_time; pad_t may be at most k // 2, as
+    in PyTorch, so that every window holds an input step. Windows are a
+    strided view (B, C, L', V, k) of one -inf-padded copy of the input.
+    Backward routes the gradient to the argmax position of each window,
+    first occurrence on ties.
     """
     x = _as_tensor(x)
     _check_conv_geometry(x, k, stride_t, pad_t, "maxpool_time")
+    if pad_t > k // 2:
+        raise InvalidParameterError(
+            f"maxpool_time: pad {pad_t} exceeds half the kernel {k}; "
+            f"windows of padding alone would output -inf"
+        )
     batch, channels, length, variates = x.shape
     out_len = _conv_out_len(length, k, stride_t, pad_t, "maxpool_time")
 
-    xp = (
-        np.pad(x.data, ((0, 0), (0, 0), (pad_t, pad_t), (0, 0)), constant_values=-np.inf)
-        if pad_t
-        else x.data
-    )
-    windows = sliding_window_view(xp, k, axis=2)[:, :, ::stride_t, :, :]
+    xp = np.empty((batch, channels, length + 2 * pad_t, variates))
+    xp[:, :, :pad_t] = -np.inf
+    xp[:, :, pad_t + length:] = -np.inf
+    xp[:, :, pad_t : pad_t + length] = x.data
+    sb, sc, st, sv = xp.strides
+    windows = np.ndarray((batch, channels, out_len, variates, k), buffer=xp,
+                         strides=(sb, sc, st * stride_t, sv, st))
     argmax = windows.argmax(axis=-1)
     out = Tensor(np.take_along_axis(windows, argmax[..., np.newaxis], axis=-1)[..., 0])
 
@@ -645,7 +682,8 @@ def maxpool_time(x: Tensor, k: int = 3, stride_t: int = 2, pad_t: int = 1) -> Te
         if not x.requires_grad:
             return
         gxp = np.zeros((batch, channels, length + 2 * pad_t, variates))
-        b_idx, c_idx, t_idx, v_idx = np.indices(out.shape, sparse=False)
+        # broadcast indices visit windows in the same C order as full ones
+        b_idx, c_idx, t_idx, v_idx = np.indices(out.shape, sparse=True)
         np.add.at(gxp, (b_idx, c_idx, t_idx * stride_t + argmax, v_idx), out.grad)
         x._accumulate(gxp[:, :, pad_t : pad_t + length, :])
 

@@ -8,6 +8,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fdnet import tensor as T
 from fdnet.errors import (
@@ -180,6 +183,13 @@ class TestMaxpoolTime:
         with pytest.raises(SequenceTooShortError):
             T.maxpool_time(x, k=3, stride_t=2, pad_t=0)
 
+    @pytest.mark.parametrize("k,pad", [(3, 2), (3, 3), (1, 1)])
+    def test_pad_over_half_kernel_rejected(self, k, pad):
+        # a window of padding alone would output -inf, and 0 * -inf is NaN
+        x = T.Tensor(np.arange(4.0).reshape(1, 1, 4, 1))
+        with pytest.raises(InvalidParameterError, match="half the kernel"):
+            T.maxpool_time(x, k=k, stride_t=2, pad_t=pad)
+
     def test_gradcheck_no_ties(self):
         # well-separated values keep finite differences away from kinks
         rng = np.random.default_rng(44)
@@ -191,6 +201,149 @@ class TestMaxpoolTime:
             return T.tensor_sum(T.mul(y, y))
 
         assert T.grad_check(f, x) < 1e-3
+
+
+def _accumulated(g):
+    # a leaf's .grad is zeros plus the op's gradient (Tensor._accumulate)
+    out = np.zeros(g.shape)
+    out += g
+    return out
+
+
+def _reference_conv(x, w, b, stride, pad, gy):
+    """np.pad + sliding_window_view + einsum conv: (y, gx, gw, gb) as leaf grads."""
+    batch, cin, length, variates = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0))) if pad else x
+    windows = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :, :]
+    out_len = windows.shape[2]
+    rows = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4))
+    rows2d = rows.reshape(batch * out_len * variates, cin * k)
+    y = (rows2d @ w.reshape(cout, cin * k).T).reshape(batch, out_len, variates, cout)
+    y = y.transpose(0, 3, 1, 2)
+    if b is not None:
+        y = y + b.reshape(1, cout, 1, 1)
+    y = np.ascontiguousarray(y)
+    gy_rows = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(-1, cout)
+    gw = (gy_rows.T @ rows2d).reshape(cout, cin, k, 1)
+    gb = gy.sum(axis=(0, 2, 3)) if b is not None else None
+    gxp = np.zeros((batch, cin, length + 2 * pad, variates))
+    for i in range(k):
+        contrib = np.einsum("botv,oc->bctv", gy, w[:, :, i, 0], optimize=True)
+        gxp[:, :, i : i + stride * out_len : stride, :] += contrib
+    gx = gxp[:, :, pad : pad + length, :]
+    return y, _accumulated(gx), _accumulated(gw), None if gb is None else _accumulated(gb)
+
+
+def _reference_maxpool(x, k, stride, pad, gy):
+    """np.pad + sliding_window_view maxpool with full index arrays: (y, gx)."""
+    batch, channels, length, variates = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0)), constant_values=-np.inf) if pad else x
+    windows = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :, :]
+    argmax = windows.argmax(axis=-1)
+    y = np.take_along_axis(windows, argmax[..., np.newaxis], axis=-1)[..., 0]
+    gxp = np.zeros((batch, channels, length + 2 * pad, variates))
+    b_idx, c_idx, t_idx, v_idx = np.indices(y.shape, sparse=False)
+    np.add.at(gxp, (b_idx, c_idx, t_idx * stride + argmax, v_idx), gy)
+    return y, _accumulated(gxp[:, :, pad : pad + length, :])
+
+
+def _layout(rng, shape, transposed, values):
+    # a C-contiguous array, or a (B, C, L, V) view of a (B, L, V, C) array
+    if not transposed:
+        return values(rng, shape)
+    b, c, length, v = shape
+    return values(rng, (b, length, v, c)).transpose(0, 3, 1, 2)
+
+
+def _normal(rng, shape):
+    return rng.normal(size=shape)
+
+
+def _tied(rng, shape):
+    # few distinct values, -0.0 among them, so windows tie often
+    return rng.choice(np.array([-1.5, -0.0, 0.0, 0.5, 2.0]), size=shape)
+
+
+def _upstream(rng, shape):
+    g = rng.normal(size=shape)
+    g[rng.random(shape) < 0.3] = -0.0
+    return g
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+ORACLE = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+class TestConvPoolOracle:
+    """conv2d_time and maxpool_time match the np.pad + sliding_window_view
+    (+ einsum) reference formulations above, bit for bit."""
+
+    def _check_conv(self, rng, shape, cout, k, stride, pad, with_bias, transposed):
+        x = T.Tensor(_layout(rng, shape, transposed, _normal), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(cout, shape[1], k, 1)), requires_grad=True)
+        b = T.Tensor(rng.normal(size=cout), requires_grad=True) if with_bias else None
+        y = T.conv2d_time(x, w, b, stride_t=stride, pad_t=pad)
+        gy = _upstream(rng, y.shape)
+        y.grad = gy.copy()
+        y._backward()
+        ry, rgx, rgw, rgb = _reference_conv(x.data, w.data, None if b is None else b.data,
+                                            stride, pad, gy)
+        assert _bits_equal(y.data, ry)
+        assert _bits_equal(x.grad, rgx)
+        assert _bits_equal(w.grad, rgw)
+        if with_bias:
+            assert _bits_equal(b.grad, rgb)
+
+    def _check_pool(self, rng, shape, stride, pad, transposed):
+        x = T.Tensor(_layout(rng, shape, transposed, _tied), requires_grad=True)
+        y = T.maxpool_time(x, k=3, stride_t=stride, pad_t=pad)
+        gy = _upstream(rng, y.shape)
+        y.grad = gy.copy()
+        y._backward()
+        ry, rgx = _reference_maxpool(x.data, 3, stride, pad, gy)
+        assert _bits_equal(y.data, ry)
+        assert _bits_equal(x.grad, rgx)
+
+    @ORACLE
+    @given(batch=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 8),
+           variates=st.integers(1, 3), k=st.sampled_from([1, 3]),
+           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
+           extra=st.integers(0, 12), with_bias=st.booleans(), transposed=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_conv(self, batch, cin, cout, variates, k, stride, pad, extra, with_bias,
+                  transposed, seed):
+        length = min(max(1, k - 2 * pad) + extra, 12)
+        self._check_conv(np.random.default_rng(seed), (batch, cin, length, variates), cout,
+                         k, stride, pad, with_bias, transposed)
+
+    @ORACLE
+    @given(batch=st.integers(1, 3), channels=st.integers(1, 4), variates=st.integers(1, 3),
+           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
+           extra=st.integers(0, 12), transposed=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_maxpool(self, batch, channels, variates, stride, pad, extra, transposed, seed):
+        length = min(max(1, 3 - 2 * pad) + extra, 12)
+        self._check_pool(np.random.default_rng(seed), (batch, channels, length, variates),
+                         stride, pad, transposed)
+
+    @pytest.mark.parametrize("cin,cout", [(1, 8), (3, 8), (4, 2), (1, 1)])
+    @pytest.mark.parametrize("length,stride", [(1, 1), (2, 2)])
+    def test_one_output_column(self, cin, cout, length, stride):
+        # B = V = L' = 1: the input gradient is a matrix-vector product
+        rng = np.random.default_rng(cin * 100 + cout * 10 + length)
+        for transposed in (False, True):
+            self._check_conv(rng, (1, cin, length, 1), cout, 3, stride, 1, True, transposed)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_default_size(self, stride):
+        rng = np.random.default_rng(1010)
+        self._check_conv(rng, (16, 8, 336, 7), 8, 3, stride, 1, True, False)
+        self._check_conv(rng, (16, 8, 336, 7), 8, 1, stride, 0, True, True)
+        self._check_pool(rng, (16, 8, 336, 7), stride, 1, False)
 
 
 class TestGelu:
