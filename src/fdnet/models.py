@@ -26,6 +26,19 @@ serially and their backward on one thread. Either way the outputs are
 collected in branch order, the branch sum reduces oldest-to-newest and every
 gradient accumulates in the serial order, so results and gradients are
 bitwise the same.
+
+Each window's forecast depends on that window alone, so an eval-mode forward
+with grad off, at least 4 windows and at least PARALLEL_MIN_ELEMENTS input
+elements cuts the batch instead: x[:B//2] and x[B//2:] each run the serial
+branch loop, on the two lanes (one after the other on one CPU), and the
+prediction, branch outputs and representations are concatenated. The two
+halves balance the lanes where the branch groups cannot (FUNet's branch0 is
+most of its forward). Train mode keeps the branch lanes, since the halves
+would race on each dropout site's generator. The split depends on the
+input's shape alone: a half's smaller head GEMM can take another OpenBLAS
+kernel and differ from the whole batch's in the last bits (FUNet at
+L_in 672, V=1, embed 32, B=16), so splitting on one CPU too keeps one-CPU
+and two-CPU outputs bitwise equal.
 """
 
 from __future__ import annotations
@@ -49,7 +62,11 @@ _DROPOUT_DOMAIN = 1
 # runs on, two threads took 0.94-1.08x the serial time of an eval or train
 # forward from 2^10 to 2^17.2 elements (small ops hold the GIL for most of
 # their time) and 0.74-0.93x from 2^18.2 up, for both variants; two threads
-# on the gradient suite's 128-element models made it up to 2x slower.
+# on the gradient suite's 128-element models made it up to 2x slower. Batch
+# halves of a no-grad eval forward (default config, 21 alternating pairs per
+# size) took 1.07x and 1.01x the serial time for FDNet at 2^17.2 and 2^17.5
+# (0.86x and 0.93x for FUNet), and 0.84x, 0.72x and 0.67x at 2^18, 2^18.5 and
+# 2^19 (FUNet 0.77x, 0.65x, 0.65x), so one gate serves both splits.
 PARALLEL_MIN_ELEMENTS = 1 << 18
 
 
@@ -202,6 +219,19 @@ def _run_branches(pairs, mode: str) -> list[tuple[Tensor, Tensor]]:
     return [branch.forward(x_slice, mode) for branch, x_slice in pairs]
 
 
+def _sum_branches(results):
+    """(pred, branch outputs, representations); pred sums oldest to newest."""
+    outputs = [y for y, _ in results]
+    pred = outputs[0]
+    for y in outputs[1:]:
+        pred = T.add(pred, y)
+    return pred, outputs, [h for _, h in results]
+
+
+def _cat(u: Tensor, v: Tensor) -> Tensor:
+    return Tensor(np.concatenate((u.data, v.data)))
+
+
 class _FocalModel(Module):
     """Shared machinery for both model variants."""
 
@@ -268,22 +298,26 @@ class _FocalModel(Module):
 
     def _run(self, x: Tensor, mode: str):
         self._check_input(x)
-        slices = slice_input(x, self.plan)
-        pairs = list(zip(self.branches, slices))
         batch, _, l_in, variates = x.shape
-        if (self._cut == 0 or batch * l_in * variates * self.embed_dim < PARALLEL_MIN_ELEMENTS
-                or _usable_cpus() < 2):
-            results = _run_branches(pairs, mode)
-        else:
-            head, tail = T._run_two(functools.partial(_run_branches, pairs[:self._cut], mode),
-                                    functools.partial(_run_branches, pairs[self._cut:], mode))
-            results = head + tail
-        outputs = [y for y, _ in results]
-        reprs = [h for _, h in results]
-        pred = outputs[0]
-        for y in outputs[1:]:
-            pred = T.add(pred, y)
-        return pred, outputs, reprs
+        large = batch * l_in * variates * self.embed_dim >= PARALLEL_MIN_ELEMENTS
+        if large and batch >= 4 and mode == "eval" and not T._state.get()[0]:
+            # windows are independent: each batch half runs the serial loop,
+            # whatever the CPU count, so every GEMM has the same shape on one CPU
+            halves = [functools.partial(self._run_serial, Tensor(part), mode)
+                      for part in (x.data[:batch // 2], x.data[batch // 2:])]
+            (pa, ya, ha), (pb, yb, hb) = (T._run_two(*halves) if _usable_cpus() > 1
+                                          else [run() for run in halves])
+            return _cat(pa, pb), list(map(_cat, ya, yb)), list(map(_cat, ha, hb))
+        if self._cut == 0 or not large or _usable_cpus() < 2:
+            return self._run_serial(x, mode)
+        pairs = list(zip(self.branches, slice_input(x, self.plan)))
+        head, tail = T._run_two(functools.partial(_run_branches, pairs[:self._cut], mode),
+                                functools.partial(_run_branches, pairs[self._cut:], mode))
+        return _sum_branches(head + tail)
+
+    def _run_serial(self, x: Tensor, mode: str):
+        pairs = zip(self.branches, slice_input(x, self.plan))
+        return _sum_branches(_run_branches(pairs, mode))
 
     def param_count(self) -> dict[str, int]:
         """Exact parameter tallies by group, via tensor enumeration."""

@@ -104,6 +104,9 @@ def op_hook(fn: Callable[[Tensor], None]):
 
     A hook may read `out._op` and wrap `out._backward` (None when no graph
     was recorded for the op). Hooks run in the order they were entered.
+    A model forward that splits its batch (see `fdnet.models`) runs each op
+    once per half, with half-batch shapes, so a hook sees both halves' ops,
+    from both threads when two CPUs are usable.
     """
     grad_enabled, hooks, lane = _state.get()
     token = _state.set((grad_enabled, hooks + (fn,), lane))

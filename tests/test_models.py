@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import gc
 import multiprocessing
 import threading
@@ -340,10 +341,10 @@ class TestGradientThroughModels:
         assert err < 1e-3
 
 
-def big_model(variant, seed=11):
+def big_model(variant, seed=11, heads=1):
     """A model and input just above the size where branches go to two threads."""
     model = build_model(variant, l_in=64, l_out=8, f=4, alpha=0.5, n_layers=2,
-                        embed_dim=8, seed=seed)
+                        embed_dim=8, seed=seed, heads=heads)
     x = Tensor(np.random.default_rng(seed).normal(size=(128, 1, 64, 4)))
     assert 128 * 64 * 4 * 8 >= M.PARALLEL_MIN_ELEMENTS and model._cut > 0
     return model, x
@@ -382,17 +383,6 @@ class TestBranchThreads:
     def test_single_branch_has_no_split(self):
         model = build_model("fdnet", 64, 8, 1, 0.5, 2, 8, 1)
         assert model._cut == 0
-
-    @pytest.mark.parametrize("variant", ["fdnet", "funet"])
-    def test_eval_matches_serial_loop_bitwise(self, variant):
-        model, x = big_model(variant)
-        with T.no_grad():
-            pred, outputs = model.forward(x, "eval")
-            reprs = model.representations(x, "eval")
-            ref_pred, ref_outputs, ref_reprs = serial_run(model, x, "eval")
-        assert np.array_equal(pred.data, ref_pred.data)
-        assert all_equal([o.data for o in outputs], [o.data for o in ref_outputs])
-        assert all_equal([h.data for h in reprs], [h.data for h in ref_reprs])
 
     @pytest.mark.parametrize("variant", ["fdnet", "funet"])
     def test_train_steps_match_serial_loop_bitwise(self, variant):
@@ -521,6 +511,67 @@ class TestBranchThreads:
             assert all(np.array_equal(y, expected) for y in nested)
 
         run_in_forked_child(child)
+
+
+def conv_batches(model, x, mode):
+    """Leading dims of one forward's conv outputs: the batch each lane ran."""
+    dims = set()
+
+    def hook(out):
+        if out._op == "conv2d_time":
+            dims.add(out.shape[0])
+
+    with T.op_hook(hook):
+        model.forward(x, mode)
+    return dims
+
+
+class TestBatchSplit:
+    """A large no-grad eval forward runs the serial loop on each batch half."""
+
+    @pytest.mark.parametrize("variant,heads", [("fdnet", 1), ("funet", 1), ("funet", 2)])
+    @pytest.mark.parametrize("batch", [4, 5, 33, 128])
+    def test_eval_matches_serial_loop_bitwise(self, monkeypatch, variant, heads, batch):
+        model, x = big_model(variant, heads=heads)
+        x = Tensor(x.data[:batch])
+        # gate at this input's size, so that the smaller batches are above it too
+        monkeypatch.setattr(M, "PARALLEL_MIN_ELEMENTS",
+                            min(M.PARALLEL_MIN_ELEMENTS, x.data.size * model.embed_dim))
+        with T.no_grad():
+            assert conv_batches(model, x, "eval") == {batch // 2, batch - batch // 2}
+            pred, outputs = model.forward(x, "eval")
+            reprs = model.representations(x, "eval")
+            ref_pred, ref_outputs, ref_reprs = serial_run(model, x, "eval")
+        assert np.array_equal(pred.data, ref_pred.data)
+        assert all_equal([o.data for o in outputs], [o.data for o in ref_outputs])
+        assert all_equal([h.data for h in reprs], [h.data for h in ref_reprs])
+
+    def test_one_and_two_cpus_split_alike(self, monkeypatch):
+        # at this shape the halves' head GEMM, B*V = 8 rows instead of 16, takes
+        # another OpenBLAS kernel and differs from the whole batch's by ~1e-12;
+        # splitting on the input's shape alone keeps the two paths bitwise equal
+        model = build_model("funet", 672, 96, 5, 0.5, 5, 32, 1)
+        x = Tensor(np.random.default_rng(0).normal(size=(16, 1, 672, 1)))
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(M, "_usable_cpus", lambda: cpus)
+            with T.no_grad():
+                pred, outputs = model.forward(x, "eval")
+            runs.append([pred.data] + [o.data for o in outputs])
+        assert all_equal(*runs)
+
+    @pytest.mark.parametrize("case", ["grad_train", "grad_eval", "no_grad_train",
+                                      "eval_batch_3", "below_gate"])
+    def test_other_forwards_keep_the_whole_batch(self, monkeypatch, case):
+        model, x = big_model("fdnet")
+        if case == "eval_batch_3":
+            x = Tensor(x.data[:3])
+            monkeypatch.setattr(M, "PARALLEL_MIN_ELEMENTS", x.data.size * model.embed_dim)
+        elif case == "below_gate":
+            x = Tensor(x.data[:64])
+        mode = "train" if case.endswith("train") else "eval"
+        with contextlib.nullcontext() if case.startswith("grad") else T.no_grad():
+            assert conv_batches(model, x, mode) == {x.shape[0]}
 
 
 def run_in_forked_child(child):
