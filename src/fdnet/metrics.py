@@ -85,6 +85,9 @@ def seasonal_scale(insample, m: int):
 def mase(pred, truth, insample, m: int) -> float:
     """Mean absolute error scaled by the in-sample seasonal difference."""
     pred, truth = _check_equal_length(pred, truth, "mase")
+    insample = np.asarray(insample, dtype=float)
+    if insample.ndim != 1:
+        raise ShapeError(f"mase: in-sample series must be 1-D, got shape {insample.shape}")
     scale = seasonal_scale(insample, m)
     if scale == 0.0:
         raise UndefinedScaleError("constant seasonal in-sample series gives zero scale")

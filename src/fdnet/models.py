@@ -12,39 +12,42 @@ The plain block keeps temporal length; the downsampling block halves it
 time positions per variate through canonical attention.
 
 Parameters are read-only during forward; batched inference over distinct
-graphs is safe. Because branches share nothing, a large forward runs them on
-two threads: the branches are cut once, at construction, into two contiguous
-groups of near-equal work (FDNet {0, 1} | {2, 3, 4}, FUNet {0} | {1..4} at
-the default plan). `tensor._run_two` runs the first group on a persistent
-helper thread in a copy of the caller's context, so `no_grad` and op hooks
-reach it, and the second on the calling thread, with numpy's OpenBLAS held
-at one thread until both are done. Each group's graph nodes carry its lane,
-so a train step's backward runs the two groups' subgraphs on the same two
-threads after the loss and branch-sum nodes. Forwards below
-PARALLEL_MIN_ELEMENTS, and processes confined to one CPU, run the branches
-serially and their backward on one thread. Either way the outputs are
-collected in branch order, the branch sum reduces oldest-to-newest and every
-gradient accumulates in the serial order, so results and gradients are
-bitwise the same.
+graphs is safe. Because branches share nothing, a forward of at least
+PARALLEL_MIN_ELEMENTS input elements hands two cuts of its work to
+`tensor._run_two`: the branches are cut once, at construction, into two
+contiguous groups of near-equal work (FDNet {0, 1} | {2, 3, 4}, FUNet {0} |
+{1..4} at the default plan). This module decides only what to cut;
+`_run_two` decides how the two run. When it gets its persistent helper
+thread, it runs the first group there in a copy of the caller's context, so
+`no_grad` and op hooks reach it, and the second on the calling thread, with
+numpy's OpenBLAS held at one thread until both are done. Each group's graph
+nodes then carry its lane, so a train step's backward runs the two groups'
+subgraphs on the same two threads after the loss and branch-sum nodes. In a
+process that can use one CPU, while another call holds the helper, and below
+the gate, the branches run serially on the calling thread. Either way the
+outputs are collected in branch order, the branch sum reduces
+oldest-to-newest and every gradient accumulates in the serial order, so
+results and gradients are bitwise the same.
 
 Each window's forecast depends on that window alone, so an eval-mode forward
 with grad off, at least 4 windows and at least PARALLEL_MIN_ELEMENTS input
 elements cuts the batch instead: x[:B//2] and x[B//2:] each run the serial
-branch loop, on the two lanes (one after the other on one CPU), and the
-prediction, branch outputs and representations are concatenated. The two
-halves balance the lanes where the branch groups cannot (FUNet's branch0 is
-most of its forward). Train mode keeps the branch lanes, since the halves
-would race on each dropout site's generator. The split depends on the
-input's shape alone: a half's smaller head GEMM can take another OpenBLAS
-kernel and differ from the whole batch's in the last bits (FUNet at
-L_in 672, V=1, embed 32, B=16), so splitting on one CPU too keeps one-CPU
-and two-CPU outputs bitwise equal.
+branch loop as `_run_two`'s two functions, and the prediction, branch
+outputs and representations are concatenated. The two halves balance the
+lanes where the branch groups cannot (FUNet's branch0 is most of its
+forward). Train mode keeps the branch lanes, since the halves would race on
+each dropout site's generator. The split depends on the input's shape
+alone: a half's smaller head GEMM can take another OpenBLAS kernel and
+differ from the whole batch's in the last bits (FUNet at L_in 672, V=1,
+embed 32, B=16), so splitting on one CPU too keeps one-CPU and two-CPU
+outputs bitwise equal.
 """
 
 from __future__ import annotations
 
 import functools
-import os
+import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -70,28 +73,13 @@ _DROPOUT_DOMAIN = 1
 PARALLEL_MIN_ELEMENTS = 1 << 18
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+_Streams = Iterator[np.random.Generator]
 
 
-def _rng_stream(seed: int, domain: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, domain, index]))
-
-
-class _StreamAllocator:
-    """Hands out named, independent generator streams in construction order."""
-
-    def __init__(self, seed: int, domain: int):
-        self._seed = seed
-        self._domain = domain
-        self._index = 0
-
-    def next(self) -> np.random.Generator:
-        rng = _rng_stream(self._seed, self._domain, self._index)
-        self._index += 1
-        return rng
+def _streams(seed: int, domain: int) -> _Streams:
+    """Independent generator streams, handed out by next() in construction order."""
+    for index in itertools.count():
+        yield np.random.default_rng(np.random.SeedSequence([seed, domain, index]))
 
 
 def halved_length(length: int) -> int:
@@ -114,14 +102,13 @@ class DFEInitialBlock(Module):
     preserved; the receptive field grows by 2 per block.
     """
 
-    def __init__(self, d: int, dropout_p: float, params: _StreamAllocator,
-                 drops: _StreamAllocator):
-        self.conv1 = WeightNormConv(d, d, 1, rng=params.next())
-        self.conv2 = WeightNormConv(d, d, 3, pad_t=1, rng=params.next())
-        self.conv3 = WeightNormConv(d, d, 1, rng=params.next())
-        self.conv4 = WeightNormConv(d, d, 3, pad_t=1, rng=params.next())
+    def __init__(self, d: int, dropout_p: float, params: _Streams, drops: _Streams):
+        self.conv1 = WeightNormConv(d, d, 1, rng=next(params))
+        self.conv2 = WeightNormConv(d, d, 3, pad_t=1, rng=next(params))
+        self.conv3 = WeightNormConv(d, d, 1, rng=next(params))
+        self.conv4 = WeightNormConv(d, d, 3, pad_t=1, rng=next(params))
         self.dropout_p = dropout_p
-        self._drop_rngs = [drops.next() for _ in range(4)]
+        self._drop_rngs = [next(drops) for _ in range(4)]
 
     def _drop(self, x: Tensor, site: int, mode: str) -> Tensor:
         return T.dropout(x, self.dropout_p, mode, self._drop_rngs[site])
@@ -144,14 +131,13 @@ class DFEICOMBlock(Module):
     add is always shape-consistent.
     """
 
-    def __init__(self, d: int, heads: int, dropout_p: float, params: _StreamAllocator,
-                 drops: _StreamAllocator):
-        self.attn = MultiHeadAttention(d, heads, rng=params.next())
-        self.conv_mix = WeightNormConv(d, d, 1, rng=params.next())
-        self.conv_down = WeightNormConv(d, d, 3, stride_t=2, pad_t=1, rng=params.next())
-        self.conv_post = WeightNormConv(d, d, 3, pad_t=1, rng=params.next())
+    def __init__(self, d: int, heads: int, dropout_p: float, params: _Streams, drops: _Streams):
+        self.attn = MultiHeadAttention(d, heads, rng=next(params))
+        self.conv_mix = WeightNormConv(d, d, 1, rng=next(params))
+        self.conv_down = WeightNormConv(d, d, 3, stride_t=2, pad_t=1, rng=next(params))
+        self.conv_post = WeightNormConv(d, d, 3, pad_t=1, rng=next(params))
         self.dropout_p = dropout_p
-        self._drop_rngs = [drops.next() for _ in range(3)]
+        self._drop_rngs = [next(drops) for _ in range(3)]
 
     def _drop(self, x: Tensor, site: int, mode: str) -> Tensor:
         return T.dropout(x, self.dropout_p, mode, self._drop_rngs[site])
@@ -177,9 +163,9 @@ class _Branch(Module):
 
     def __init__(self, index: int, length: int, depth: int, variant: str, d: int,
                  l_out: int, heads: int, dropout_p: float,
-                 params: _StreamAllocator, drops: _StreamAllocator):
+                 params: _Streams, drops: _Streams):
         self.depth = depth
-        self.embed = ValueEmbedding(d, rng=params.next())
+        self.embed = ValueEmbedding(d, rng=next(params))
         if variant == "fdnet":
             self.blocks = [DFEInitialBlock(d, dropout_p, params, drops)
                            for _ in range(depth)]
@@ -198,7 +184,7 @@ class _Branch(Module):
                 self.work += current
                 current = halved_length(current)
             self.out_length = current
-        self.head = LinearHead(d * self.out_length, l_out, rng=params.next())
+        self.head = LinearHead(d * self.out_length, l_out, rng=next(params))
 
     def representation(self, x_slice: Tensor, mode: str) -> Tensor:
         """Post-stack, pre-flatten features (B, D, out_length, V)."""
@@ -247,8 +233,8 @@ class _FocalModel(Module):
         self.seed = seed
         self.heads = heads
         self.dropout_p = dropout_p
-        params = _StreamAllocator(seed, _PARAM_DOMAIN)
-        drops = _StreamAllocator(seed, _DROPOUT_DOMAIN)
+        params = _streams(seed, _PARAM_DOMAIN)
+        drops = _streams(seed, _DROPOUT_DOMAIN)
         self.branches = [
             _Branch(i, length, depth, self.variant, embed_dim, l_out, heads,
                     dropout_p, params, drops)
@@ -302,13 +288,12 @@ class _FocalModel(Module):
         large = batch * l_in * variates * self.embed_dim >= PARALLEL_MIN_ELEMENTS
         if large and batch >= 4 and mode == "eval" and not T._state.get()[0]:
             # windows are independent: each batch half runs the serial loop,
-            # whatever the CPU count, so every GEMM has the same shape on one CPU
+            # however _run_two runs them, so every GEMM has the same shape
             halves = [functools.partial(self._run_serial, Tensor(part), mode)
                       for part in (x.data[:batch // 2], x.data[batch // 2:])]
-            (pa, ya, ha), (pb, yb, hb) = (T._run_two(*halves) if _usable_cpus() > 1
-                                          else [run() for run in halves])
+            (pa, ya, ha), (pb, yb, hb) = T._run_two(*halves)
             return _cat(pa, pb), list(map(_cat, ya, yb)), list(map(_cat, ha, hb))
-        if self._cut == 0 or not large or _usable_cpus() < 2:
+        if self._cut == 0 or not large:
             return self._run_serial(x, mode)
         pairs = list(zip(self.branches, slice_input(x, self.plan)))
         head, tail = T._run_two(functools.partial(_run_branches, pairs[:self._cut], mode),

@@ -23,7 +23,10 @@ task, and separate graphs may be built from separate threads.
 Two lanes: `_run_two(fn_a, fn_b)` runs fn_a on one persistent helper thread
 and fn_b on the caller, with numpy's OpenBLAS held at one thread, and each
 node records the lane (1 or 2) it was made in; nodes made outside are lane 0,
-the trunk. A model forward that ran its branch groups this way gets a
+the trunk. It alone decides who gets the helper: one call at a time, under a
+lock it tries once without waiting. Other callers, nested calls and
+processes that can use one CPU run both functions serially on the calling
+thread. A model forward that ran its branch groups on the helper gets a
 backward on the same two threads: the trunk runs first, then each lane's
 nodes on their own thread. Backward does this only when every node's
 gradient still accumulates in serial pop order (see `Tensor.backward`), so
@@ -105,8 +108,9 @@ def op_hook(fn: Callable[[Tensor], None]):
     A hook may read `out._op` and wrap `out._backward` (None when no graph
     was recorded for the op). Hooks run in the order they were entered.
     A model forward that splits its batch (see `fdnet.models`) runs each op
-    once per half, with half-batch shapes, so a hook sees both halves' ops,
-    from both threads when two CPUs are usable.
+    once per half, with half-batch shapes, so a hook sees both halves' ops.
+    They come from two threads only when that forward's `_run_two` got the
+    helper thread; otherwise all come from the calling thread.
     """
     grad_enabled, hooks, lane = _state.get()
     token = _state.set((grad_enabled, hooks + (fn,), lane))
@@ -132,62 +136,39 @@ def _openblas():
     return None
 
 
-# Holders of one_blas_thread and the thread count the last of them restores.
-_blas_lock = threading.Lock()
-_blas_users = 0
-_blas_saved = 1
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread inside the block, then restore it.
-
-    Overlapping holds, from nested blocks or other threads, share one: the
-    first to enter saves the thread count and the last to leave restores it.
-    A no-op when numpy's OpenBLAS thread functions cannot be found.
-    """
-    global _blas_users, _blas_saved
-    api = _openblas()
-    if api is None:
-        yield
-        return
-    get, set_ = api
-    with _blas_lock:
-        if _blas_users == 0:
-            _blas_saved = get()
-            set_(1)
-        _blas_users += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                set_(_blas_saved)
+# The OpenBLAS thread count that the _run_two holding the helper restores,
+# or None when no _run_two holds it.
+_blas_saved: int | None = None
 
 
-def _release_blas_hold_in_child():
-    # threads that held at the fork do not exist in the child: drop their hold
-    global _blas_lock, _blas_users
-    _blas_lock = threading.Lock()
-    if _blas_users:
-        _blas_users = 0
+def _restore_blas():
+    global _blas_saved
+    if _blas_saved is not None:
         _openblas()[1](_blas_saved)
+        _blas_saved = None
 
 
 def _new_helper():
-    """Make the persistent thread that runs _run_two's first function.
+    """Make the persistent thread that runs _run_two's first function, and its lock.
 
-    Its worker starts on first use. A forked child makes its own, because the
-    parent's worker thread does not exist there.
+    The worker starts on first use. A forked child makes its own, because the
+    parent's threads, the helper and any holder of its lock, do not exist
+    there; it also restores the OpenBLAS count if a holder had lowered it.
     """
-    global _helper
+    global _helper, _helper_lock
     _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="fdnet-branch")
+    _helper_lock = threading.Lock()
+    _restore_blas()
 
 
 _new_helper()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_release_blas_hold_in_child)
     os.register_at_fork(after_in_child=_new_helper)
 
 
@@ -203,21 +184,31 @@ def _in_lane(lane: int, fn: Callable[[], object]):
 def _run_two(fn_a: Callable[[], object], fn_b: Callable[[], object]) -> tuple:
     """Run fn_a on the helper thread in lane 1 and fn_b here in lane 2.
 
-    fn_a runs in a copy of the caller's context, so `no_grad` and op hooks
-    reach it. numpy's OpenBLAS is held at one thread until both are done,
-    and an exception from either leaves only after both have stopped.
-    Called from inside a lane, for instance by a hook on the helper thread,
-    both run serially here: waiting on the helper from the helper would
-    never end. Returns (fn_a(), fn_b()).
+    Only one call at a time gets the helper. Both run serially here, in the
+    caller's lane, when the process can use one CPU or the helper's lock is
+    taken: by a call from another thread, or by the call this one is nested
+    in (waiting on the helper from the helper would never end). With the
+    helper, fn_a runs in a copy of the caller's context, so `no_grad` and op
+    hooks reach it; numpy's OpenBLAS is held at one thread until both are
+    done, and an exception from either leaves only after both have stopped.
+    Returns (fn_a(), fn_b()).
     """
-    if _state.get()[2]:
+    global _blas_saved
+    if _usable_cpus() < 2 or not _helper_lock.acquire(blocking=False):
         return fn_a(), fn_b()
-    with one_blas_thread():
+    try:
+        api = _openblas()
+        if api is not None:
+            _blas_saved = api[0]()
+            api[1](1)
         head = _helper.submit(contextvars.copy_context().run, _in_lane, 1, fn_a)
         try:
             tail = _in_lane(2, fn_b)
         finally:
             futures.wait([head])
+    finally:
+        _restore_blas()
+        _helper_lock.release()
     return head.result(), tail
 
 
@@ -251,9 +242,6 @@ class Tensor:
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, op={self._op}{req})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 
@@ -273,13 +261,13 @@ class Tensor:
 
         When the forward recorded nodes in both lanes of `_run_two` (a large
         model forward's two branch groups), the trunk, the nodes recorded
-        outside the lanes, runs first on this thread, and then each lane's
-        nodes run on that lane's thread. That happens only when it keeps
-        every gradient's accumulation order: the trunk pops before every
-        lane node, a lane node's grad-requiring parents are leaves or nodes
-        of its own lane, and no leaf is a parent in both lanes. Otherwise all
-        nodes run here in one pass. Either way gradients are bitwise the
-        same.
+        outside the lanes, runs first on this thread, and then `_run_two`
+        runs each lane's nodes as one of its two functions. That happens
+        only when it keeps every gradient's accumulation order: the trunk
+        pops before every lane node, a lane node's grad-requiring parents are
+        leaves or nodes of its own lane, and no leaf is a parent in both
+        lanes. Otherwise all nodes run here in one pass. Either way gradients
+        are bitwise the same.
 
         If `params` is given, every listed tensor is guaranteed a gradient
         buffer afterward (zeros when it does not contribute to the loss).
@@ -306,25 +294,6 @@ class Tensor:
             for p in params:
                 if p.grad is None:
                     p.grad = np.zeros_like(p.data)
-
-    # Operator sugar; the module-level functions are the documented API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .errors import InvalidParameterError
 from .layers import LinearHead, MultiHeadAttention, ValueEmbedding, WeightNormConv
-from .models import _StreamAllocator, DFEICOMBlock, DFEInitialBlock, build_model
+from .models import DFEICOMBlock, DFEInitialBlock, _streams, build_model
 from .tensor import DIFFERENTIABLE_OPS, Tensor
 
 DEFAULT_TOLERANCE = 1e-3
@@ -145,13 +145,13 @@ def _check_attention():
 
 
 def _check_dfe_block():
-    block = DFEInitialBlock(4, 0.1, _StreamAllocator(35, 0), _StreamAllocator(35, 1))
+    block = DFEInitialBlock(4, 0.1, _streams(35, 0), _streams(35, 1))
     x = Tensor(_rand((1, 4, 6, 2), 36))
     return T.grad_check(lambda: _sq_sum(block.forward(x, "eval")), block.parameters())
 
 
 def _check_icom_block():
-    block = DFEICOMBlock(4, 1, 0.1, _StreamAllocator(37, 0), _StreamAllocator(37, 1))
+    block = DFEICOMBlock(4, 1, 0.1, _streams(37, 0), _streams(37, 1))
     x = Tensor(_rand((1, 4, 6, 2), 38))
     return T.grad_check(lambda: _sq_sum(block.forward(x, "eval")), block.parameters())
 

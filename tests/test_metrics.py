@@ -96,6 +96,11 @@ class TestMase:
         with pytest.raises(InsufficientDataError):
             M.mase([1.0], [2.0], [3.0, 4.0], 2)
 
+    @pytest.mark.parametrize("insample", [[[1.0, 2.0, 4.0], [3.0, 5.0, 8.0]], 3.0])
+    def test_insample_not_1d_raises_shape_error(self, insample):
+        with pytest.raises(ShapeError, match="1-D"):
+            M.mase([1.0], [2.0], insample, 1)
+
     @given(st.floats(0.1, 1e4), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_scale_invariance(self, c, m):

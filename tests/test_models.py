@@ -23,7 +23,7 @@ from fdnet.models import (
     DFEInitialBlock,
     FDNetModel,
     FUNetModel,
-    _StreamAllocator,
+    _streams,
     build_model,
     halved_length,
     stack_output_length,
@@ -32,8 +32,8 @@ from fdnet.tensor import Tensor
 
 
 def make_block(kind, d=4, seed=0, heads=1):
-    params = _StreamAllocator(seed, 0)
-    drops = _StreamAllocator(seed, 1)
+    params = _streams(seed, 0)
+    drops = _streams(seed, 1)
     if kind == "initial":
         return DFEInitialBlock(d, 0.1, params, drops)
     return DFEICOMBlock(d, heads, 0.1, params, drops)
@@ -418,7 +418,7 @@ class TestBranchThreads:
 
         with T.no_grad(), T.op_hook(hook):
             model.forward(x, "eval")
-        if M._usable_cpus() > 1:
+        if T._usable_cpus() > 1:
             assert len(idents) == 2
             assert api is None or blas == {1}  # held while the helper runs
         else:
@@ -507,7 +507,7 @@ class TestBranchThreads:
             with T.no_grad(), T.op_hook(hook):
                 pred = model.forward(x, "eval")[0].data
             assert np.array_equal(pred, expected)
-            assert len(nested) == (M._usable_cpus() > 1)
+            assert len(nested) == (T._usable_cpus() > 1)
             assert all(np.array_equal(y, expected) for y in nested)
 
         run_in_forked_child(child)
@@ -554,7 +554,7 @@ class TestBatchSplit:
         x = Tensor(np.random.default_rng(0).normal(size=(16, 1, 672, 1)))
         runs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(M, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
             with T.no_grad():
                 pred, outputs = model.forward(x, "eval")
             runs.append([pred.data] + [o.data for o in outputs])
@@ -608,7 +608,7 @@ class TestBackwardThreads:
 
     def test_backward_runs_on_the_forward_threads(self):
         model, x = big_model("fdnet")
-        assert len(traced_train_step(model, x)[1]) == min(2, M._usable_cpus())
+        assert len(traced_train_step(model, x)[1]) == min(2, T._usable_cpus())
         tiny, v = tiny_fdnet()
         small = Tensor(np.random.default_rng(3).normal(size=(2, 1, 16, v)))
         assert traced_train_step(tiny, small)[1] == {threading.get_ident()}
@@ -654,7 +654,7 @@ class TestBackwardThreads:
         with pytest.raises(NumericError, match="lane-1"):
             train_grads(model, pred)
         assert len(failed_on) == 1
-        if M._usable_cpus() > 1:
+        if T._usable_cpus() > 1:
             assert failed_on[0].startswith("fdnet-branch")
         if api is not None:
             assert api[0]() == before

@@ -593,7 +593,7 @@ class TestGradCheckHarness:
     def test_linear_is_exact(self):
         x = T.Tensor(rand((4,), 61))
         w = T.Tensor(rand((4,), 62))
-        err = T.grad_check(lambda: T.tensor_sum(T.mul(x, w.detach())), x)
+        err = T.grad_check(lambda: T.tensor_sum(T.mul(x, w)), x)
         assert err < 1e-10
 
     def test_composition_conv_gelu_sum(self):
@@ -792,58 +792,132 @@ class TestBackwardLanes:
             loss.backward()
             grads.append((w.grad, v.grad))
         assert all(np.array_equal(a, b) for a, b in zip(*grads))
-        assert len(idents) == (2 if case == "split" else 1)
+        assert len(idents) == (min(2, T._usable_cpus()) if case == "split" else 1)
 
 
-@pytest.mark.skipif(T._openblas() is None, reason="numpy's OpenBLAS thread functions not found")
-class TestOneBlasThread:
-    def test_overlapping_holds_restore_only_when_the_last_leaves(self):
-        get, set_ = T._openblas()
-        before = get()
-        set_(2)
-        try:
-            entered, release = threading.Event(), threading.Event()
+def _where():
+    """(thread, lane) of the caller."""
+    return threading.get_ident(), T._state.get()[2]
 
-            def other():
-                with T.one_blas_thread():
-                    entered.set()
-                    release.wait(30)
 
-            thread = threading.Thread(target=other)
-            thread.start()
-            assert entered.wait(30)
-            try:
-                with T.one_blas_thread():
-                    assert get() == 1
-                # the other thread still holds
-                assert get() == 1
-            finally:
-                release.set()
-                thread.join(30)
-            assert not thread.is_alive() and get() == 2
-        finally:
-            set_(before)
+def _blas_count():
+    return T._openblas()[0]()
 
-    def test_forked_child_drops_a_hold_made_by_another_thread(self):
-        get, _ = T._openblas()
-        before = get()
+
+needs_openblas = pytest.mark.skipif(T._openblas() is None,
+                                    reason="numpy's OpenBLAS thread functions not found")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # the helper thread runs under any CPU count once _run_two sees two
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def blas_at_two():
+    get, set_ = T._openblas()
+    before = get()
+    set_(2)
+    yield
+    set_(before)
+
+
+class TestRunTwo:
+    """Only one call at a time gets the helper; every other runs serially."""
+
+    def test_one_cpu_runs_both_here(self, monkeypatch):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+        assert T._run_two(_where, _where) == ((threading.get_ident(), 0),) * 2
+
+    def test_second_thread_runs_serially_while_the_helper_is_busy(self, two_cpus):
         entered, release = threading.Event(), threading.Event()
 
-        def holder():
-            with T.one_blas_thread():
-                entered.set()
-                release.wait(30)
+        def busy():
+            entered.set()
+            release.wait(30)
 
-        def child():
-            assert get() == before and T._blas_users == 0
-            with T.one_blas_thread():
-                assert get() == 1
-            assert get() == before
-
-        thread = threading.Thread(target=holder)
+        thread = threading.Thread(target=T._run_two, args=(lambda: None, busy))
         thread.start()
         try:
             assert entered.wait(30)
+            assert T._run_two(_where, _where) == ((threading.get_ident(), 0),) * 2
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+
+    def test_nested_call_from_lane_2_runs_serially(self, two_cpus):
+        _, inner = T._run_two(lambda: None, lambda: T._run_two(_where, _where))
+        assert inner == ((threading.get_ident(), 2),) * 2
+
+    @needs_openblas
+    @pytest.mark.parametrize("raising", [None, "a", "b"])
+    def test_blas_count_is_one_inside_and_restored_after(self, two_cpus, blas_at_two,
+                                                         raising):
+        counts = []
+
+        def fn(name):
+            counts.append(_blas_count())
+            if name == raising:
+                raise ShapeError(f"{name} failed")
+            return name
+
+        if raising is None:
+            assert T._run_two(lambda: fn("a"), lambda: fn("b")) == ("a", "b")
+        else:
+            with pytest.raises(ShapeError, match=f"{raising} failed"):
+                T._run_two(lambda: fn("a"), lambda: fn("b"))
+        assert counts == [1, 1]
+        assert _blas_count() == 2 and T._blas_saved is None
+        assert not T._helper_lock.locked()
+
+    @needs_openblas
+    def test_many_threads_leave_the_count_restored(self, two_cpus, blas_at_two):
+        # more callers than cores, switching often: a lost restore would
+        # leave OpenBLAS at one thread, a lost release the helper locked
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [[] for _ in range(4)]
+
+            def call_repeatedly(out):
+                for i in range(300):
+                    out.append(T._run_two(lambda: i, lambda: -i) == (i, -i))
+
+            threads = [threading.Thread(target=call_repeatedly, args=(out,))
+                       for out in results]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(out) == 300 and all(out) for out in results)
+        assert _blas_count() == 2 and T._blas_saved is None
+        assert not T._helper_lock.locked()
+
+    @needs_openblas
+    def test_forked_child_restores_a_hold_made_by_another_thread(self, two_cpus,
+                                                                 blas_at_two):
+        entered, release = threading.Event(), threading.Event()
+
+        def busy():
+            entered.set()
+            release.wait(30)
+
+        def child():
+            assert _blas_count() == 2 and T._blas_saved is None
+            assert not T._helper_lock.locked()
+            (ident_a, _), (ident_b, _) = T._run_two(_where, _where)
+            assert ident_a != ident_b and _blas_count() == 2
+
+        thread = threading.Thread(target=T._run_two, args=(lambda: None, busy))
+        thread.start()
+        try:
+            assert entered.wait(30)
+            assert _blas_count() == 1
             proc = multiprocessing.get_context("fork").Process(target=child)
             proc.start()
             proc.join(30)
@@ -853,37 +927,3 @@ class TestOneBlasThread:
             release.set()
             thread.join(30)
         assert proc.exitcode == 0 and not thread.is_alive()
-
-    def test_many_threads_leave_the_count_restored(self):
-        # more holders than cores, switching often: a lost update to the
-        # holder count would leave OpenBLAS at one thread
-        get, set_ = T._openblas()
-        before, interval = get(), sys.getswitchinterval()
-        set_(2)
-        sys.setswitchinterval(1e-6)
-        try:
-            def hold_repeatedly():
-                for _ in range(300):
-                    with T.one_blas_thread():
-                        assert get() == 1
-
-            threads = [threading.Thread(target=hold_repeatedly) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert get() == 2 and T._blas_users == 0
-        finally:
-            sys.setswitchinterval(interval)
-            set_(before)
-
-    def test_restored_when_block_raises(self):
-        get, _ = T._openblas()
-        before = get()
-        with pytest.raises(ShapeError):
-            with T.one_blas_thread():
-                with T.one_blas_thread():
-                    assert get() == 1
-                    raise ShapeError("boom")
-        assert get() == before
