@@ -1,0 +1,65 @@
+"""Golden outputs: eval predictions and one train step's gradients, pinned.
+
+`tests/fixtures/golden_<variant>.npz` holds, for FDNet and for FUNet with two
+attention heads, a B=64 eval forward's predictions and the loss and every
+parameter's gradient of one B=64 train step, at fixed seeds. At L_in 96,
+V 7 and embed 8 the input has 64 * 96 * 7 * 8 = 2^18.4 elements, so the eval
+forward splits its batch and the train step runs its branch groups as two
+lanes (see `fdnet.models`); under one CPU both run serially and must agree.
+
+The comparison allows 1e-12 relative error, because another CPU's OpenBLAS
+kernels may round the last bits differently; on the machine that wrote the
+files the results are bitwise equal. Regenerate the files, after a change
+that is meant to move these numbers, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fdnet import tensor as T
+from fdnet.models import build_model
+from fdnet.tensor import Tensor
+from fdnet.training import mse_loss
+
+FIXTURES = Path(__file__).parent / "fixtures"
+HEADS = {"fdnet": 1, "funet": 2}
+BATCH, L_IN, L_OUT, VARIATES = 64, 96, 24, 7
+
+
+def golden(variant: str) -> dict[str, np.ndarray]:
+    """Eval predictions, train loss and train gradients (`grad/<param>`)."""
+    rng = np.random.default_rng(1313)
+    x = rng.normal(size=(BATCH, 1, L_IN, VARIATES))
+    y = rng.normal(size=(BATCH, L_OUT, VARIATES))
+    model = build_model(variant, l_in=L_IN, l_out=L_OUT, f=5, alpha=0.5, n_layers=5,
+                        embed_dim=8, seed=4321, heads=HEADS[variant])
+    with T.no_grad():
+        pred, _ = model.forward(Tensor(x), "eval")
+    out = {"eval_pred": pred.data}
+    params = model.named_parameters()
+    loss = mse_loss(model.forward(Tensor(x), "train")[0], Tensor(y))
+    grads = T.gradients(loss, params.values())
+    out["train_loss"] = loss.data
+    out.update((f"grad/{name}", g) for name, g in zip(params, grads))
+    return out
+
+
+@pytest.mark.parametrize("variant", list(HEADS))
+def test_matches_golden(variant):
+    with np.load(FIXTURES / f"golden_{variant}.npz") as stored:
+        expected = dict(stored)
+    actual = golden(variant)
+    assert list(actual) == list(expected)
+    for key, want in expected.items():
+        scale = float(np.abs(want).max())
+        np.testing.assert_allclose(actual[key], want, rtol=1e-12, atol=1e-12 * scale,
+                                   err_msg=key)
+
+
+if __name__ == "__main__":
+    for name in HEADS:
+        np.savez_compressed(FIXTURES / f"golden_{name}.npz", **golden(name))
