@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import DegenerateWeightError, ShapeError
+from .errors import ShapeError
 from .tensor import Tensor
 
 
@@ -69,8 +69,9 @@ class WeightNormConv(Module):
     per-channel magnitude g (Cout,) and the bias (Cout,). The effective
     kernel is g * v / ||v|| with the Euclidean norm taken per output channel
     over all remaining axes, so the per-channel norm of the effective kernel
-    equals |g| exactly. At init g = ||v||, making the effective kernel equal
-    the freshly drawn v.
+    equals |g| exactly. One op, `tensor.weight_norm`, computes it on every
+    forward. At init g = ||v||, making the effective kernel equal the freshly
+    drawn v.
     """
 
     def __init__(self, cin: int, cout: int, k: int, stride_t: int = 1, pad_t: int = 0, *,
@@ -84,12 +85,7 @@ class WeightNormConv(Module):
 
     def effective_weight(self) -> Tensor:
         """g * v / ||v|| per output channel; gradients flow into v and g."""
-        norms_sq = T.tensor_sum(T.mul(self.v, self.v), axis=(1, 2, 3), keepdims=True)
-        if np.any(norms_sq.data == 0.0):
-            raise DegenerateWeightError("weight-normalized channel has zero direction norm")
-        unit = T.div(self.v, T.sqrt(norms_sq))
-        cout = self.v.shape[0]
-        return T.mul(unit, T.reshape(self.g, (cout, 1, 1, 1)))
+        return T.weight_norm(self.v, self.g)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.conv2d_time(x, self.effective_weight(), self.bias,

@@ -2,10 +2,12 @@
 
 The operation set is exactly what the forecasting models need: elementwise
 arithmetic with bias-style broadcasting, matmul, time-axis 2D convolution and
-max-pooling that never mix variates, GELU, dropout, softmax, fused
-scaled dot-product attention that walks its (L, L) probabilities a
-cache-sized block of sequences at a time, and the shape ops (reshape/
-transpose/slice/sum/sqrt) required to wire them together.
+max-pooling that never mix variates, weight normalization as one op, GELU,
+dropout, softmax, fused scaled dot-product attention that walks its (L, L)
+probabilities a cache-sized block of sequences at a time, and the shape ops
+(reshape/transpose/slice/sum/sqrt) required to wire them together. GELU and
+dropout work their temporaries in place; like the fused ops, they round
+exactly as the plain numpy expressions they replace.
 
 Graph representation: every Tensor produced by an op is a graph node holding
 its parent tensors and a backward closure; `Tensor.backward()` topologically
@@ -56,6 +58,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import (
+    DegenerateWeightError,
     InvalidArgumentError,
     InvalidParameterError,
     NumericError,
@@ -73,6 +76,7 @@ DIFFERENTIABLE_OPS = (
     "matmul",
     "conv2d_time",
     "maxpool_time",
+    "weight_norm",
     "gelu",
     "dropout",
     "softmax_lastdim",
@@ -236,7 +240,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         req = ", requires_grad=True" if self.requires_grad else ""
@@ -247,8 +251,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # g + 0.0 has the bits of 0.0 + g (IEEE addition commutes, signed
+            # zeros too) and skips a pass that fills zeros
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self, params: Sequence["Tensor"] | None = None):
         """Reverse-mode pass from this scalar; populates `.grad` on leaves.
@@ -670,13 +677,26 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = _as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    # One buffer each way, worked in place. Operands swap only where the
+    # operation commutes, so every rounding is that of
+    # cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2)) and, in backward,
+    # out.grad * (cdf + x * (exp(-0.5 * x * x) * _INV_SQRT_2PI)).
+    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = Tensor(x.data * cdf)
 
     def backward():
         if x.requires_grad:
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-            x._accumulate(out.grad * (cdf + x.data * pdf))
+            g = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
+            g *= x.data
+            np.exp(g, out=g)
+            g *= _INV_SQRT_2PI
+            g *= x.data
+            g += cdf
+            g *= out.grad
+            x._accumulate(g)
 
     _record(out, "gelu", (x,), backward)
     return out
@@ -699,7 +719,10 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
     elif rng is None:
         raise InvalidParameterError("dropout in train mode requires an rng")
     else:
-        mask = (rng.random(x.shape) >= p) * (1.0 / (1.0 - p))
+        # in place, with the draws and roundings of (rng.random(shape) >= p) * (1 / (1 - p))
+        mask = rng.random(out=np.empty(x.shape))
+        np.greater_equal(mask, p, out=mask)
+        mask *= 1.0 / (1.0 - p)
         out = Tensor(x.data * mask)
 
     def backward():
@@ -878,6 +901,46 @@ def sqrt(x: Tensor) -> Tensor:
     return out
 
 
+def weight_norm(v: Tensor, g: Tensor) -> Tensor:
+    """Weight normalization: g[i] * v[i] / ||v[i]|| for each slice v[i] of axis 0.
+
+    One op for the chain mul(unit, reshape(g)) of unit = div(v, sqrt(s)),
+    s = sum(mul(v, v)) over every axis but the first. Forward evaluates that
+    chain's numpy expressions. Backward replays its arithmetic in pop order:
+    v receives the quotient term, then mul(v, v)'s term twice, and every
+    reduction goes through `_unbroadcast` axis by axis. Outputs and gradients
+    are therefore bitwise the chain's (tests/test_tensor.py keeps it as an
+    oracle). Raises DegenerateWeightError when a slice of v has zero norm.
+    """
+    v, g = _as_tensor(v), _as_tensor(g)
+    if g.shape != v.shape[:1]:
+        raise ShapeError(f"weight_norm needs g of shape (v.shape[0],), "
+                         f"got {g.shape} for v {v.shape}")
+    gr_shape = v.shape[:1] + (1,) * (v.data.ndim - 1)
+    norms_sq = (v.data * v.data).sum(axis=tuple(range(1, v.data.ndim)), keepdims=True)
+    if not norms_sq.all():  # a zero norm; cheaper than np.any(norms_sq == 0.0)
+        raise DegenerateWeightError("weight-normalized channel has zero direction norm")
+    norms = np.sqrt(norms_sq)
+    unit = v.data / norms
+    gr = g.data.reshape(gr_shape)
+    out = Tensor(unit * gr)
+
+    def backward():
+        gw = out.grad
+        if v.requires_grad:
+            gunit = gw * gr
+            v._accumulate(gunit / norms)
+            gnorms = _unbroadcast(-gunit * v.data / (norms * norms), norms.shape)
+            gsq = gnorms * 0.5 / norms * v.data
+            v._accumulate(gsq)
+            v._accumulate(gsq)
+        if g.requires_grad:
+            g._accumulate(_unbroadcast(gw * unit, gr_shape).reshape(g.shape))
+
+    _record(out, "weight_norm", (v, g), backward)
+    return out
+
+
 def mean_all(x: Tensor) -> Tensor:
     """Mean over every element, as sum * (1/n)."""
     x = _as_tensor(x)
@@ -929,9 +992,9 @@ def grad_check(
             saved = flat[i]
             with no_grad():
                 flat[i] = saved + h
-                up = float(f().data)
+                up = f().data.item()
                 flat[i] = saved - h
-                down = float(f().data)
+                down = f().data.item()
             flat[i] = saved
             if not (math.isfinite(up) and math.isfinite(down)):
                 raise NumericError("grad_check: non-finite evaluation during differencing")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import erf
 
 from fdnet import tensor as T
 from fdnet.errors import (
@@ -204,7 +205,7 @@ class TestMaxpoolTime:
 
 
 def _accumulated(g):
-    # a leaf's .grad is zeros plus the op's gradient (Tensor._accumulate)
+    # a leaf's first .grad has the bits of zeros plus the op's gradient (Tensor._accumulate)
     out = np.zeros(g.shape)
     out += g
     return out
@@ -344,6 +345,127 @@ class TestConvPoolOracle:
         self._check_conv(rng, (16, 8, 336, 7), 8, 3, stride, 1, True, False)
         self._check_conv(rng, (16, 8, 336, 7), 8, 1, stride, 0, True, True)
         self._check_pool(rng, (16, 8, 336, 7), stride, 1, False)
+
+
+def _chain_weight_norm(v, g):
+    """The six-node weight norm: mul(div(v, sqrt(sum(v * v))), reshape(g))."""
+    norms_sq = T.tensor_sum(T.mul(v, v), axis=tuple(range(1, v.data.ndim)), keepdims=True)
+    unit = T.div(v, T.sqrt(norms_sq))
+    return T.mul(unit, T.reshape(g, v.shape[:1] + (1,) * (v.data.ndim - 1)))
+
+
+def _reference_gelu(x, gy):
+    """Out-of-place exact-erf GELU: (y, gx as a leaf grad)."""
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return x * cdf, _accumulated(gy * (cdf + x * pdf))
+
+
+def _reference_dropout(x, p, rng, gy):
+    """Out-of-place inverted dropout mask: (y, gx as a leaf grad)."""
+    mask = (rng.random(x.shape) >= p) * (1.0 / (1.0 - p))
+    return x * mask, _accumulated(gy * mask)
+
+
+def _signed_zeros(rng, shape):
+    # normal values with exact 0.0 and -0.0 among them
+    g = rng.normal(size=shape)
+    u = rng.random(shape)
+    g[u < 0.2] = 0.0
+    g[u > 0.8] = -0.0
+    return g
+
+
+def _backprop_from(out, grad):
+    # run backward from a non-scalar node with an exact upstream gradient
+    out.grad = grad.copy()
+    T._backprop(T._toposort(out))
+
+
+class TestFusedOpOracle:
+    """weight_norm matches the six-node chain it replaces, and gelu and
+    dropout the out-of-place formulas, bit for bit: outputs and gradients."""
+
+    @ORACLE
+    @given(cout=st.integers(1, 8), cin=st.integers(1, 8), k=st.sampled_from([1, 3]),
+           needs=st.sampled_from(["both", "v", "g"]), zero_rows=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_weight_norm(self, cout, cin, k, needs, zero_rows, seed):
+        rng = np.random.default_rng(seed)
+        v0 = _signed_zeros(rng, (cout, cin, k, 1))
+        v0[:, 0, 0, 0] = rng.uniform(0.5, 2.0, size=cout)  # no zero-norm channel
+        g0 = _signed_zeros(rng, (cout,))
+        gy = _signed_zeros(rng, v0.shape)
+        if zero_rows:  # a channel whose upstream gradient is only signed zeros
+            gy[0] = np.where(rng.random(gy[0].shape) < 0.5, 0.0, -0.0)
+        leaves = []
+        for build in (T.weight_norm, _chain_weight_norm):
+            v = T.Tensor(v0.copy(), requires_grad=needs in ("both", "v"))
+            g = T.Tensor(g0.copy(), requires_grad=needs in ("both", "g"))
+            w = build(v, g)
+            _backprop_from(w, gy)
+            leaves.append((w.data, v.grad, g.grad))
+        (w, gv, gg), (rw, rgv, rgg) = leaves
+        assert _bits_equal(w, rw)
+        for got, want in ((gv, rgv), (gg, rgg)):
+            assert (got is None) == (want is None)
+            assert got is None or _bits_equal(got, want)
+
+    def test_weight_norm_in_a_model_graph(self):
+        # two convs share one input, so pop order interleaves their chains
+        rng = np.random.default_rng(2024)
+        x0, gy = rng.normal(size=(2, 3, 7, 2)), _signed_zeros(rng, (2, 4, 7, 2))
+        params = [rng.normal(size=s) for s in ((4, 3, 3, 1), (4,), (4, 3, 1, 1), (4,))]
+        grads = []
+        for build in (T.weight_norm, _chain_weight_norm):
+            x = T.Tensor(x0, requires_grad=True)
+            v3, g3, v1, g1 = (T.Tensor(p.copy(), requires_grad=True) for p in params)
+            y = T.add(T.conv2d_time(x, build(v3, g3), None, 1, 1),
+                      T.conv2d_time(x, build(v1, g1), None, 1, 0))
+            _backprop_from(y, gy)
+            grads.append([t.grad for t in (x, v3, g3, v1, g1)])
+        assert all(_bits_equal(a, b) for a, b in zip(*grads))
+
+    def test_weight_norm_rejects_g_of_another_shape(self):
+        with pytest.raises(ShapeError):
+            T.weight_norm(T.Tensor(np.ones((2, 3, 1, 1))), T.Tensor(np.ones(3)))
+
+    @ORACLE
+    @given(shape=st.sampled_from([(), (1,), (7,), (3, 4), (2, 3, 5)]),
+           scale=st.sampled_from([1.0, 8.0, 40.0]), seed=st.integers(0, 2**32 - 1))
+    def test_gelu(self, shape, scale, seed):
+        rng = np.random.default_rng(seed)
+        x = T.Tensor(_signed_zeros(rng, shape) * scale, requires_grad=True)
+        gy = _signed_zeros(rng, shape)
+        y = T.gelu(x)
+        _backprop_from(y, gy)
+        ry, rgx = _reference_gelu(x.data, gy)
+        assert _bits_equal(y.data, np.asarray(ry))
+        assert _bits_equal(x.grad, rgx)
+
+    @ORACLE
+    @given(shape=st.sampled_from([(), (1,), (7,), (3, 4), (2, 3, 5)]),
+           p=st.floats(0.001, 0.999), seed=st.integers(0, 2**32 - 1))
+    def test_dropout(self, shape, p, seed):
+        rng = np.random.default_rng(seed)
+        x = T.Tensor(_signed_zeros(rng, shape), requires_grad=True)
+        gy = _signed_zeros(rng, shape)
+        drop_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        y = T.dropout(x, p, "train", drop_rng)
+        _backprop_from(y, gy)
+        ry, rgx = _reference_dropout(x.data, p, ref_rng, gy)
+        assert _bits_equal(y.data, np.asarray(ry))
+        assert _bits_equal(x.grad, rgx)
+        assert drop_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_first_gradient_is_zeros_plus_g(self):
+        # the first accumulation turns -0.0 into 0.0 as zeros + g did, keeps
+        # infinities and NaN, and takes the layout of the data
+        x = T.Tensor(np.zeros((3, 2)).T, requires_grad=True)
+        g = np.array([[-0.0, 0.0, np.inf], [-np.inf, np.nan, -2.5]])
+        x._accumulate(g)
+        assert _bits_equal(x.grad, _accumulated(g))
+        assert x.grad.strides == np.zeros_like(x.data).strides
 
 
 class TestGelu:
@@ -542,6 +664,13 @@ class TestBackward:
         assert np.array_equal(grads[1], [0.0])
         assert np.array_equal(grads[0], [4.0])
 
+    def test_size_one_item_of_any_rank(self):
+        assert T.Tensor(np.full((1, 1), 2.5)).item() == 2.5
+        x = T.Tensor([3.0], requires_grad=True)
+        loss = T.tensor_sum(T.mul(x, x), axis=0, keepdims=True)
+        loss.backward()
+        assert loss.item() == 9.0 and np.array_equal(x.grad, [6.0])
+
     def test_non_scalar_loss_rejected(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(InvalidArgumentError):
@@ -595,6 +724,12 @@ class TestGradCheckHarness:
         w = T.Tensor(rand((4,), 62))
         err = T.grad_check(lambda: T.tensor_sum(T.mul(x, w)), x)
         assert err < 1e-10
+
+    def test_shape_one_loss(self):
+        # a (1,)-shaped loss is a scalar to backward, and so to grad_check
+        x = T.Tensor(rand((3,), 66))
+        err = T.grad_check(lambda: T.tensor_sum(T.mul(x, x), axis=0, keepdims=True), x)
+        assert err < 1e-8
 
     def test_composition_conv_gelu_sum(self):
         x = T.Tensor(rand((1, 2, 8, 2), 63))

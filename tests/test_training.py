@@ -115,7 +115,7 @@ class TestGraphRelease:
                     refs.append(weakref.ref(node))
                     stack.extend(node._parents)
             del pred, branch_preds, stack, node
-            assert len(refs) > 100
+            assert len(refs) > 50
             loss.backward(params=model.parameters())
             alive = [r for r in refs if r() is not None]
         finally:
