@@ -11,6 +11,8 @@ package error exits with code 1 and a one-line diagnosis.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -102,21 +104,34 @@ class RunConfig:
 
     def load_file(self, path: str):
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise InvalidParameterError(f"{path}: config file is not UTF-8: {exc}") from None
+        self.load_text(text, path)
+
+    def load_text(self, text: str, source: str):
+        """Apply `key=value` lines; `#` starts a comment at a line's start or after whitespace."""
         for line_no, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise InvalidParameterError(f"{path}:{line_no}: expected key=value")
+                raise InvalidParameterError(f"{source}:{line_no}: expected key=value")
             key, raw = line.split("=", 1)
             self.apply(key, raw)
 
     def snapshot(self) -> str:
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-        return "\n".join(lines) + "\n"
+        """Every field as a `key=value` line; raises InvalidParameterError unless they reload."""
+        text = "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
+        again = RunConfig()
+        with contextlib.suppress(InvalidParameterError):
+            again.load_text(text, "snapshot")
+        for f in fields(self):
+            if str(getattr(again, f.name)) != str(getattr(self, f.name)):
+                raise InvalidParameterError(
+                    f"{f.name}={getattr(self, f.name)!r} would not reload from config.txt "
+                    f"(a line break, surrounding whitespace or whitespace before '#')")
+        return text
 
     def split_spec(self) -> SplitSpec:
         kind, _, rest = self.split.partition(":")
@@ -169,23 +184,23 @@ def _build_model(cfg: RunConfig, l_out: int):
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    # the model is built first so bad hyper-parameters fail before any data loads
+    # bad settings fail before any data loads, a bad --out-dir before training
+    snapshot = cfg.snapshot()
     model = _build_model(cfg, cfg.l_out)
     train_config = cfg.train_config()
+    out = _out_dir(cfg)
     _, standardizer, parts = _standardized_splits(cfg)
     train_windows = make_windows(parts["train"], cfg.l_in, cfg.l_out)
     val_windows = make_windows(parts["val"], cfg.l_in, cfg.l_out)
     _log(f"training {cfg.variant} on {len(train_windows)} windows "
          f"({cfg.max_epochs} epochs max)")
     result = train(model, train_windows, val_windows, train_config)
-
-    out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.ckpt", model, standardizer,
                     meta={"best_epoch": result.best_epoch,
                           "best_val_mse": result.best_val_mse,
                           "steps": result.steps})
     write_history_csv(out / "history.csv", result.history)
-    (out / "config.txt").write_text(cfg.snapshot())
+    (out / "config.txt").write_text(snapshot)
     _log(f"best val MSE {result.best_val_mse:.6f} at epoch {result.best_epoch}; "
          f"wrote {out / 'checkpoint.ckpt'}")
     return 0

@@ -102,9 +102,10 @@ def load_csv(path, target_column: str) -> TimeSeriesFrame:
     """Parse a headered CSV into a frame; row order is preserved.
 
     The first column is treated as a timestamp column when its first data
-    cell is non-numeric. Handles both LF and CRLF line endings.
+    cell is non-numeric. Handles both LF and CRLF line endings and a
+    UTF-8 byte-order mark.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

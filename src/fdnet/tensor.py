@@ -9,18 +9,21 @@ probabilities a cache-sized block of sequences at a time, and the shape ops
 dropout work their temporaries in place; like the fused ops, they round
 exactly as the plain numpy expressions they replace.
 
-Graph representation: every Tensor produced by an op is a graph node holding
-its parent tensors and a backward closure; `Tensor.backward()` topologically
-sorts the reachable subgraph and accumulates gradients into `.grad`. Object
-identity is the node handle. Backward frees the graph as it goes: each node
-drops its closure, parents and gradient once its closure has run, so every
-activation is released as soon as backward is done with it and a spent
-graph is reclaimed by reference counting alone. A graph can therefore be
-backpropagated once; a second `backward()` through it raises, and
-`release_graph` frees a graph that will not be backpropagated. Grad mode
-(`no_grad`) and op hooks (`op_hook`) live in one `ContextVar`, so both are
-context-local: neither reaches ops recorded in another thread or asyncio
-task, and separate graphs may be built from separate threads.
+Graph representation: every op makes its output with `_op`, from one gradient
+function per parent (or one shared `backward(g)`, for `weight_norm` and
+`attention_time`). In grad mode, with a parent requiring grad, `_op` records
+the output as a graph node holding its parents and a backward closure built
+only then. `Tensor.backward()` topologically sorts the reachable subgraph and
+accumulates gradients into `.grad`. Object identity is the node handle.
+Backward frees the graph as it goes: each node drops its closure, parents and
+gradient once its closure has run, so every activation is released as soon as
+backward is done with it and a spent graph is reclaimed by reference counting
+alone. A graph can therefore be backpropagated once; a second `backward()`
+through it raises, and `release_graph` frees a graph that will not be
+backpropagated. Grad mode (`no_grad`) and op hooks (`op_hook`) live in one
+`ContextVar`, so both are context-local: neither reaches ops recorded in
+another thread or asyncio task, and separate graphs may be built from
+separate threads.
 
 Two lanes: `_run_two(fn_a, fn_b)` runs fn_a on one persistent helper thread
 and fn_b on the caller, with numpy's OpenBLAS held at one thread, and each
@@ -383,16 +386,34 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(out: Tensor, op: str, parents: tuple[Tensor, ...], backward):
+def _op(op: str, data, parents: tuple[Tensor, ...], *grad_fns, backward=None) -> Tensor:
+    """Make op `op`'s output from `data`, and record it for backward if it needs a graph.
+
+    `grad_fns` pair with `parents`: backward hands each parent that requires
+    grad `grad_fn(out.grad)`, in parent order. An op whose parents' gradients
+    come from one shared pass gives `backward(g)` instead.
+    """
+    out = Tensor(data)
     out._op = op
     grad_enabled, hooks, lane = _state.get()
     if grad_enabled and any(p.requires_grad for p in parents):
+        # default arguments, not closure cells: _op would make the cells on every call
+        if backward is None:
+            def backward(g, parents=parents, grad_fns=grad_fns):
+                for parent, grad_fn in zip(parents, grad_fns):
+                    if parent.requires_grad:
+                        parent._accumulate(grad_fn(g))
         out.requires_grad = True
         out._parents = parents
-        out._backward = backward
+        out._backward = lambda out=out, backward=backward: backward(out.grad)
         out._lane = lane
     for hook in hooks:
         hook(out)
+    return out
+
+
+def _same(g: np.ndarray) -> np.ndarray:
+    return g
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str):
@@ -419,75 +440,34 @@ def add(a: Tensor, b) -> Tensor:
     """Elementwise a + b; b may broadcast into a (bias rule)."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "add")
-    out = Tensor(a.data + b.data)
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(out.grad)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad, b.shape))
-
-    _record(out, "add", (a, b), backward)
-    return out
+    return _op("add", a.data + b.data, (a, b), _same, lambda g: _unbroadcast(g, b.shape))
 
 
 def sub(a: Tensor, b) -> Tensor:
     """Elementwise a - b; same broadcast rule as add."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(out.grad)
-        if b.requires_grad:
-            b._accumulate(-_unbroadcast(out.grad, b.shape))
-
-    _record(out, "sub", (a, b), backward)
-    return out
+    return _op("sub", a.data - b.data, (a, b), _same, lambda g: -_unbroadcast(g, b.shape))
 
 
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise a * b; same broadcast rule as add."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "mul")
-    out = Tensor(a.data * b.data)
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(out.grad * b.data)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
-
-    _record(out, "mul", (a, b), backward)
-    return out
+    return _op("mul", a.data * b.data, (a, b), lambda g: g * b.data,
+               lambda g: _unbroadcast(g * a.data, b.shape))
 
 
 def div(a: Tensor, b) -> Tensor:
     """Elementwise a / b; same broadcast rule as add."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "div")
-    out = Tensor(a.data / b.data)
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(out.grad / b.data)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
-
-    _record(out, "div", (a, b), backward)
-    return out
+    return _op("div", a.data / b.data, (a, b), lambda g: g / b.data,
+               lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
 
 def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(-out.grad)
-
-    _record(out, "neg", (a,), backward)
-    return out
+    return _op("neg", -a.data, (a,), np.negative)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -503,16 +483,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     if b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul leading dimensions differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ out.grad, b.shape))
-
-    _record(out, "matmul", (a, b), backward)
-    return out
+    return _op("matmul", a.data @ b.data, (a, b),
+               lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+               lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
 
 def _conv_out_len(length: int, k: int, stride_t: int, pad_t: int, op: str) -> int:
@@ -591,41 +564,36 @@ def conv2d_time(
     rows2d = rows.reshape(batch * out_len * variates, cin * k)
     w2d = weight.data.reshape(cout, cin * k)
     y = (rows2d @ w2d.T).reshape(batch, out_len, variates, cout).transpose(0, 3, 1, 2)
+
+    def grad_x(gy):
+        # Tap i's input gradient is the product that
+        # np.einsum("botv,oc->bctv", gy, tap_i) runs: the tap's (Cin, Cout)
+        # transpose times gy as (Cout, B*L'*V), a view where numpy can
+        # merge those axes and a copy otherwise. A contiguous tap keeps
+        # the product on BLAS with bitwise the same sums; only a
+        # matrix-vector product (one column, Cin > 1) needs einsum's
+        # strided tap, which numpy multiplies in its own loop.
+        gy_cols = gy.transpose(1, 0, 2, 3).reshape(cout, -1)
+        strided = gy_cols.shape[1] == 1 and cin > 1
+        gxp = np.zeros((batch, cin, length + 2 * pad_t, variates))
+        for i in range(k):
+            tap = weight.data[:, :, i, 0]
+            tap_t = tap.T if strided else np.ascontiguousarray(tap).T
+            contrib = (tap_t @ gy_cols).reshape(cin, batch, out_len, variates)
+            gxp[:, :, i : i + span : stride_t, :] += contrib.transpose(1, 0, 2, 3)
+        return gxp[:, :, pad_t : pad_t + length, :]
+
+    def grad_weight(gy):
+        gy_rows = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(-1, cout)
+        return (gy_rows.T @ rows2d).reshape(cout, cin, k, 1)
+
     out_data = np.empty((batch, cout, out_len, variates))
     if bias is None:
         out_data[...] = y
-    else:
-        np.add(y, bias.data.reshape(1, cout, 1, 1), out=out_data)
-    out = Tensor(out_data)
-
-    def backward():
-        gy = out.grad
-        if weight.requires_grad:
-            gy_rows = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(-1, cout)
-            gw = gy_rows.T @ rows2d
-            weight._accumulate(gw.reshape(cout, cin, k, 1))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(gy.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            # Tap i's input gradient is the product that
-            # np.einsum("botv,oc->bctv", gy, tap_i) runs: the tap's (Cin, Cout)
-            # transpose times gy as (Cout, B*L'*V), a view where numpy can
-            # merge those axes and a copy otherwise. A contiguous tap keeps
-            # the product on BLAS with bitwise the same sums; only a
-            # matrix-vector product (one column, Cin > 1) needs einsum's
-            # strided tap, which numpy multiplies in its own loop.
-            gy_cols = gy.transpose(1, 0, 2, 3).reshape(cout, -1)
-            strided = gy_cols.shape[1] == 1 and cin > 1
-            gxp = np.zeros((batch, cin, length + 2 * pad_t, variates))
-            for i in range(k):
-                tap = weight.data[:, :, i, 0]
-                tap_t = tap.T if strided else np.ascontiguousarray(tap).T
-                contrib = (tap_t @ gy_cols).reshape(cin, batch, out_len, variates)
-                gxp[:, :, i : i + span : stride_t, :] += contrib.transpose(1, 0, 2, 3)
-            x._accumulate(gxp[:, :, pad_t : pad_t + length, :])
-
-    _record(out, "conv2d_time", tuple(t for t in (x, weight, bias) if t is not None), backward)
-    return out
+        return _op("conv2d_time", out_data, (x, weight), grad_x, grad_weight)
+    np.add(y, bias.data.reshape(1, cout, 1, 1), out=out_data)
+    return _op("conv2d_time", out_data, (x, weight, bias), grad_x, grad_weight,
+               lambda gy: gy.sum(axis=(0, 2, 3)))
 
 
 def maxpool_time(x: Tensor, k: int = 3, stride_t: int = 2, pad_t: int = 1) -> Tensor:
@@ -655,19 +623,17 @@ def maxpool_time(x: Tensor, k: int = 3, stride_t: int = 2, pad_t: int = 1) -> Te
     windows = np.ndarray((batch, channels, out_len, variates, k), buffer=xp,
                          strides=(sb, sc, st * stride_t, sv, st))
     argmax = windows.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(windows, argmax[..., np.newaxis], axis=-1)[..., 0])
 
-    def backward():
-        if not x.requires_grad:
-            return
+    def grad_x(gy):
         gxp = np.zeros((batch, channels, length + 2 * pad_t, variates))
         # broadcast indices visit windows in the same C order as full ones
-        b_idx, c_idx, t_idx, v_idx = np.indices(out.shape, sparse=True)
-        np.add.at(gxp, (b_idx, c_idx, t_idx * stride_t + argmax, v_idx), out.grad)
-        x._accumulate(gxp[:, :, pad_t : pad_t + length, :])
+        b_idx, c_idx, t_idx, v_idx = np.indices(gy.shape, sparse=True)
+        np.add.at(gxp, (b_idx, c_idx, t_idx * stride_t + argmax, v_idx), gy)
+        return gxp[:, :, pad_t : pad_t + length, :]
 
-    _record(out, "maxpool_time", (x,), backward)
-    return out
+    return _op("maxpool_time",
+               np.take_along_axis(windows, argmax[..., np.newaxis], axis=-1)[..., 0],
+               (x,), grad_x)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -680,26 +646,23 @@ def gelu(x: Tensor) -> Tensor:
     # One buffer each way, worked in place. Operands swap only where the
     # operation commutes, so every rounding is that of
     # cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2)) and, in backward,
-    # out.grad * (cdf + x * (exp(-0.5 * x * x) * _INV_SQRT_2PI)).
+    # gy * (cdf + x * (exp(-0.5 * x * x) * _INV_SQRT_2PI)).
     cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out = Tensor(x.data * cdf)
 
-    def backward():
-        if x.requires_grad:
-            g = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
-            g *= x.data
-            np.exp(g, out=g)
-            g *= _INV_SQRT_2PI
-            g *= x.data
-            g += cdf
-            g *= out.grad
-            x._accumulate(g)
+    def grad_x(gy):
+        g = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
+        g *= x.data
+        np.exp(g, out=g)
+        g *= _INV_SQRT_2PI
+        g *= x.data
+        g += cdf
+        g *= gy
+        return g
 
-    _record(out, "gelu", (x,), backward)
-    return out
+    return _op("gelu", x.data * cdf, (x,), grad_x)
 
 
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
@@ -715,22 +678,14 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
     if mode not in ("train", "eval"):
         raise InvalidParameterError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or p == 0.0:
-        mask, out = None, Tensor(x.data)
-    elif rng is None:
+        return _op("dropout", x.data, (x,), _same)
+    if rng is None:
         raise InvalidParameterError("dropout in train mode requires an rng")
-    else:
-        # in place, with the draws and roundings of (rng.random(shape) >= p) * (1 / (1 - p))
-        mask = rng.random(out=np.empty(x.shape))
-        np.greater_equal(mask, p, out=mask)
-        mask *= 1.0 / (1.0 - p)
-        out = Tensor(x.data * mask)
-
-    def backward():
-        if x.requires_grad:
-            x._accumulate(out.grad if mask is None else out.grad * mask)
-
-    _record(out, "dropout", (x,), backward)
-    return out
+    # in place, with the draws and roundings of (rng.random(shape) >= p) * (1 / (1 - p))
+    mask = rng.random(out=np.empty(x.shape))
+    np.greater_equal(mask, p, out=mask)
+    mask *= 1.0 / (1.0 - p)
+    return _op("dropout", x.data * mask, (x,), lambda g: g * mask)
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -741,15 +696,8 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def backward():
-        if x.requires_grad:
-            gy = out.grad
-            x._accumulate(y * (gy - (gy * y).sum(axis=-1, keepdims=True)))
-
-    _record(out, "softmax_lastdim", (x,), backward)
-    return out
+    return _op("softmax_lastdim", y, (x,),
+               lambda gy: y * (gy - (gy * y).sum(axis=-1, keepdims=True)))
 
 
 # Bytes of (L, L) float64 probabilities that attention_time handles at once.
@@ -795,10 +743,9 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
         np.matmul(p, vs[s], out=ctx[s])
-    out = Tensor(ctx.reshape(q.shape))
 
-    def backward():
-        gys = out.grad.reshape(n, length, d)
+    def backward(gy):
+        gys = gy.reshape(n, length, d)
         gq, gv = np.empty((n, length, d)), np.empty((n, length, d))
         gk_t = np.empty((n, d, length))
         for s in blocks:
@@ -814,8 +761,7 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
             if t.requires_grad:
                 t._accumulate(grad.reshape(t.shape))
 
-    _record(out, "attention_time", (q, k, v), backward)
-    return out
+    return _op("attention_time", ctx.reshape(q.shape), (q, k, v), backward=backward)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -823,14 +769,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    out = Tensor(x.data.reshape(shape))
-
-    def backward():
-        if x.requires_grad:
-            x._accumulate(out.grad.reshape(x.shape))
-
-    _record(out, "reshape", (x,), backward)
-    return out
+    return _op("reshape", x.data.reshape(shape), (x,), lambda g: g.reshape(x.shape))
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
@@ -839,14 +778,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     if sorted(axes) != list(range(x.data.ndim)):
         raise ShapeError(f"transpose axes {axes} is not a permutation for rank {x.data.ndim}")
     inverse = np.argsort(axes)
-    out = Tensor(x.data.transpose(axes))
-
-    def backward():
-        if x.requires_grad:
-            x._accumulate(out.grad.transpose(inverse))
-
-    _record(out, "transpose", (x,), backward)
-    return out
+    return _op("transpose", x.data.transpose(axes), (x,), lambda g: g.transpose(inverse))
 
 
 def slice_time(x: Tensor, start: int, stop: int) -> Tensor:
@@ -857,48 +789,32 @@ def slice_time(x: Tensor, start: int, stop: int) -> Tensor:
     length = x.shape[2]
     if not 0 <= start < stop <= length:
         raise ShapeError(f"slice_time [{start}, {stop}) out of range for length {length}")
-    out = Tensor(x.data[:, :, start:stop, :].copy())
 
-    def backward():
-        if x.requires_grad:
-            g = np.zeros_like(x.data)
-            g[:, :, start:stop, :] = out.grad
-            x._accumulate(g)
+    def grad_x(gy):
+        g = np.zeros_like(x.data)
+        g[:, :, start:stop, :] = gy
+        return g
 
-    _record(out, "slice_time", (x,), backward)
-    return out
+    return _op("slice_time", x.data[:, :, start:stop, :].copy(), (x,), grad_x)
 
 
 def tensor_sum(x: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
     """Sum over the given axes (all axes when None)."""
     x = _as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
 
-    def backward():
-        if not x.requires_grad:
-            return
-        g = out.grad
+    def grad_x(g):
         if axis is not None and not keepdims:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            g = np.expand_dims(g, tuple(a % x.data.ndim for a in axes))
-        x._accumulate(np.broadcast_to(g, x.shape).copy())
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, x.shape).copy()
 
-    _record(out, "sum", (x,), backward)
-    return out
+    return _op("sum", x.data.sum(axis=axis, keepdims=keepdims), (x,), grad_x)
 
 
 def sqrt(x: Tensor) -> Tensor:
     """Elementwise square root; differentiated only for strictly positive inputs."""
     x = _as_tensor(x)
     y = np.sqrt(x.data)
-    out = Tensor(y)
-
-    def backward():
-        if x.requires_grad:
-            x._accumulate(out.grad * 0.5 / y)
-
-    _record(out, "sqrt", (x,), backward)
-    return out
+    return _op("sqrt", y, (x,), lambda g: g * 0.5 / y)
 
 
 def weight_norm(v: Tensor, g: Tensor) -> Tensor:
@@ -923,10 +839,8 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     norms = np.sqrt(norms_sq)
     unit = v.data / norms
     gr = g.data.reshape(gr_shape)
-    out = Tensor(unit * gr)
 
-    def backward():
-        gw = out.grad
+    def backward(gw):
         if v.requires_grad:
             gunit = gw * gr
             v._accumulate(gunit / norms)
@@ -937,8 +851,7 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
         if g.requires_grad:
             g._accumulate(_unbroadcast(gw * unit, gr_shape).reshape(g.shape))
 
-    _record(out, "weight_norm", (v, g), backward)
-    return out
+    return _op("weight_norm", unit * gr, (v, g), backward=backward)
 
 
 def mean_all(x: Tensor) -> Tensor:

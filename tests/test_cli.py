@@ -8,6 +8,10 @@ from fdnet.models import build_model
 from fdnet.training import load_checkpoint
 
 
+def never_train(*args, **kwargs):
+    pytest.fail("train ran")
+
+
 def write_sine_csv(path, n=600, v_noise=0.02, seed=0):
     rng = np.random.default_rng(seed)
     t = np.arange(n, dtype=float)
@@ -55,6 +59,33 @@ class TestConfigFile:
         cfg_file.write_text("not_a_key=3\n")
         assert main(["params", "--config", str(cfg_file)]) == 1
         assert "not_a_key" in capsys.readouterr().err
+
+    def test_utf8_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        cfg_file = tmp_path / "bom.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbfl_in=32\nf=2\n")
+        cfg = RunConfig()
+        cfg.load_file(str(cfg_file))
+        assert (cfg.l_in, cfg.f) == (32, 2)
+
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
+        cfg = RunConfig(data=str(tmp_path / "run#2" / "series.csv"), target="O#T")
+        cfg_file = tmp_path / "config.txt"
+        cfg_file.write_text(cfg.snapshot())
+        again = RunConfig()
+        again.load_file(str(cfg_file))
+        assert again == cfg
+
+    @pytest.mark.parametrize("folder", ["run #2", "run\n2"])
+    def test_train_refuses_a_config_whose_snapshot_would_not_reload(self, tmp_path, capsys,
+                                                                     monkeypatch, folder):
+        (tmp_path / folder).mkdir()
+        data = str(write_sine_csv(tmp_path / folder / "series.csv"))
+        monkeypatch.setattr("fdnet.cli.train", never_train)
+        out = tmp_path / "run"
+        assert main(["train", "--data", data, "--out-dir", str(out), *TRAIN_FLAGS]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "data" in err[0]
+        assert not out.exists()
 
     def test_missing_equals_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
@@ -139,6 +170,13 @@ class TestTrainCommand:
         assert main(["train", "--data", dataset, "--target", "OT",
                      "--out-dir", str(out), *flags]) == 0
         assert len((out / "history.csv").read_text().strip().splitlines()) == 3
+
+    def test_unusable_out_dir_fails_before_training(self, tmp_path, dataset, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr("fdnet.cli.train", never_train)
+        assert main(["train", "--data", dataset, "--out-dir", dataset, *TRAIN_FLAGS]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and dataset in err[0]
 
     def test_missing_dataset_names_path(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")

@@ -49,6 +49,13 @@ class TestLoadCsv:
         assert np.array_equal(a.values, b.values)
         assert a.columns == b.columns
 
+    def test_utf8_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfOT,a\n1,4\n2,5\n")
+        frame = load_csv(p, "OT")
+        assert frame.columns == ("OT", "a")
+        assert np.array_equal(frame.values, [[1, 4], [2, 5]])
+
     def test_date_column_autodetected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("date,HUFL,OT\n2016-07-01 00:00,5.8,30.5\n2016-07-01 01:00,5.2,27.8\n")

@@ -684,6 +684,63 @@ class TestBackward:
         assert np.array_equal(a, b)
 
 
+def _never(g):
+    raise AssertionError("grad_fn ran for a parent that needs no gradient")
+
+
+def _record_accumulations(t):
+    calls = []
+    accumulate = t._accumulate
+    t._accumulate = lambda g: (calls.append(np.array(g)), accumulate(g))
+    return calls
+
+
+class TestOp:
+    """`_op` records every op: one grad_fn per parent, or one shared backward."""
+
+    def test_grad_fn_runs_only_for_parents_that_require_grad(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        c = T.Tensor([3.0, 4.0])
+        out = T._op("probe", x.data * c.data, (x, c), lambda g: g * c.data, _never)
+        T.tensor_sum(out).backward()
+        assert np.array_equal(x.grad, [3.0, 4.0]) and c.grad is None
+
+    def test_parents_receive_gradients_in_parent_order(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        calls = _record_accumulations(x)
+        out = T._op("probe", x.data, (x, x), lambda g: 2.0 * g, lambda g: 3.0 * g)
+        T.tensor_sum(out).backward()
+        assert [c.tolist() for c in calls] == [[2.0, 2.0], [3.0, 3.0]]
+
+    @pytest.mark.parametrize("op, sign", [(T.add, 1.0), (T.sub, -1.0)])
+    def test_one_tensor_as_both_operands(self, op, sign):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        calls = _record_accumulations(x)
+        T.tensor_sum(op(x, x)).backward()
+        assert [c.tolist() for c in calls] == [[1.0, 1.0], [sign, sign]]
+        assert np.array_equal(x.grad, [1.0 + sign] * 2)
+
+    def test_shared_backward_gets_the_output_gradient_once(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        got = []
+        out = T._op("probe", 2.0 * x.data, (x,), backward=lambda g: got.append(g.copy()))
+        T.tensor_sum(out).backward()
+        assert len(got) == 1 and np.array_equal(got[0], [1.0, 1.0])
+
+    def test_unrecorded_output_has_no_backward_and_no_parents(self):
+        x = T.Tensor([1.0], requires_grad=True)
+        c = T.Tensor([2.0])
+        seen = []
+        with T.op_hook(seen.append):
+            plain = T._op("probe", c.data, (c,), _never)
+            with T.no_grad():
+                outs = [T._op("probe", x.data, (x,), _never), T.add(x, x),
+                        T.weight_norm(T.Tensor(np.ones((1, 2, 1, 1)), requires_grad=True), x)]
+        for out in [plain, *outs]:
+            assert out._backward is None and out._parents == () and not out.requires_grad
+        assert [t._op for t in seen] == ["probe", "probe", "add", "weight_norm"]
+
+
 class TestGraphRelease:
     def test_intermediate_freed_by_backward_without_gc(self):
         x = T.Tensor(rand((4, 5), 60), requires_grad=True)
