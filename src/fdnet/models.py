@@ -29,22 +29,32 @@ outputs are collected in branch order, the branch sum reduces
 oldest-to-newest and every gradient accumulates in the serial order, so
 results and gradients are bitwise the same.
 
-Each window's forecast depends on that window alone, so an eval-mode forward
-with grad off, at least 4 windows and at least PARALLEL_MIN_ELEMENTS input
-elements cuts the batch instead: x[:B//2] and x[B//2:] each run the serial
-branch loop as `_run_two`'s two functions, and the prediction, branch
-outputs and representations are concatenated. The two halves balance the
-lanes where the branch groups cannot (FUNet's branch0 is most of its
-forward). Train mode keeps the branch lanes, since the halves would race on
-each dropout site's generator. The split depends on the input's shape
-alone: a half's smaller head GEMM can take another OpenBLAS kernel and
-differ from the whole batch's in the last bits (FUNet at L_in 672, V=1,
-embed 32, B=16), so splitting on one CPU too keeps one-CPU and two-CPU
-outputs bitwise equal.
+Each window's forecast depends on that window alone, so a forward of at
+least 4 windows and at least PARALLEL_MIN_ELEMENTS input elements cuts the
+batch instead when it is an eval-mode forward with grad off, or a
+grad-mode train forward of an input that does not require grad, in a model
+whose largest branch holds more than half of the summed `_Branch.work`
+(FUNet's branch0, 630 of 1,134 at the default plan; no cut of the branches
+can balance such a model, and FDNet's, 336 of 1,302, never takes this
+path). x[:B//2] and x[B//2:] each run the serial branch loop as
+`_run_two`'s two functions, and `tensor.concat` joins the prediction,
+branch outputs and representations. A train forward runs the second half
+on twin parameter leaves (`Tensor.twin`), whose gradients backward adds
+into the parameters' after the first half's, and on clones of each
+dropout site's generator that skip the first half's draws; the originals
+then take over the clones' states. Every mask is thus the whole batch's,
+and the streams go on as if the whole batch had drawn. The split depends
+on the input's shape and the model's plan alone, never on the CPU count:
+a half's smaller head GEMM can take another OpenBLAS kernel and differ
+from the whole batch's in the last bits (FUNet at L_in 672, V=1, embed 32,
+B=16), and a train step's gradients are a sum of two halves, so splitting
+on one CPU too keeps one-CPU and two-CPU outputs and gradients bitwise
+equal.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from collections.abc import Iterator
@@ -214,8 +224,39 @@ def _sum_branches(results):
     return pred, outputs, [h for _, h in results]
 
 
-def _cat(u: Tensor, v: Tensor) -> Tensor:
-    return Tensor(np.concatenate((u.data, v.data)))
+class _AfterLead(np.random.Generator):
+    """A dropout site's generator for a batch's later half: a clone that skips.
+
+    Its draw (`tensor.dropout` draws once per forward, into `out`) first
+    advances past the draws of the `lead` windows before the half, one PCG64
+    step per double, so the half's mask is the whole batch's mask over its
+    windows and the clone ends where a whole-batch draw would.
+    """
+
+    def __init__(self, rng: np.random.Generator, lead: int):
+        super().__init__(copy.deepcopy(rng.bit_generator))
+        self.lead = lead
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        self.bit_generator.advance(self.lead * (out.size // out.shape[0]))
+        return super().random(size, dtype, out)
+
+
+def _swapped(value, swap: dict[int, object]):
+    """`value` with the objects in `swap`, keyed by id, replaced through modules and lists.
+
+    Modules and lists are copied and every other value is shared. Callables
+    set on a module instance (a tracer's wrapper of its forward, say) are
+    left out, so a copy runs its class's methods on its own attributes.
+    """
+    if isinstance(value, Module):
+        twin = object.__new__(type(value))
+        twin.__dict__.update((name, _swapped(v, swap)) for name, v in vars(value).items()
+                             if not callable(v))
+        return twin
+    if isinstance(value, list):
+        return [_swapped(v, swap) for v in value]
+    return swap.get(id(value), value)
 
 
 class _FocalModel(Module):
@@ -244,6 +285,8 @@ class _FocalModel(Module):
         work = [branch.work for branch in self.branches]
         self._cut = min(range(1, len(work)),
                         key=lambda k: max(sum(work[:k]), sum(work[k:])), default=0)
+        # no branch cut balances the lanes: train steps split the batch
+        self._halve_train = 2 * max(work) > sum(work)
 
     @property
     def config(self) -> dict:
@@ -286,13 +329,13 @@ class _FocalModel(Module):
         self._check_input(x)
         batch, _, l_in, variates = x.shape
         large = batch * l_in * variates * self.embed_dim >= PARALLEL_MIN_ELEMENTS
-        if large and batch >= 4 and mode == "eval" and not T._state.get()[0]:
-            # windows are independent: each batch half runs the serial loop,
-            # however _run_two runs them, so every GEMM has the same shape
-            halves = [functools.partial(self._run_serial, Tensor(part), mode)
-                      for part in (x.data[:batch // 2], x.data[batch // 2:])]
-            (pa, ya, ha), (pb, yb, hb) = T._run_two(*halves)
-            return _cat(pa, pb), list(map(_cat, ya, yb)), list(map(_cat, ha, hb))
+        grad_enabled = T._state.get()[0]
+        if mode == "eval":
+            halves = not grad_enabled
+        else:
+            halves = grad_enabled and self._halve_train and not x.requires_grad
+        if large and batch >= 4 and halves:
+            return self._run_halves(x, mode)
         if self._cut == 0 or not large:
             return self._run_serial(x, mode)
         pairs = list(zip(self.branches, slice_input(x, self.plan)))
@@ -300,9 +343,32 @@ class _FocalModel(Module):
                                 functools.partial(_run_branches, pairs[self._cut:], mode))
         return _sum_branches(head + tail)
 
-    def _run_serial(self, x: Tensor, mode: str):
-        pairs = zip(self.branches, slice_input(x, self.plan))
+    def _run_serial(self, x: Tensor, mode: str, branches=None):
+        pairs = zip(branches or self.branches, slice_input(x, self.plan))
         return _sum_branches(_run_branches(pairs, mode))
+
+    def _run_halves(self, x: Tensor, mode: str):
+        """The serial loop on each batch half, as `_run_two`'s two functions, joined.
+
+        Windows are independent. However `_run_two` runs the halves, every
+        GEMM has the same shape. In train mode the later half runs on twin
+        branches (see the module docstring).
+        """
+        lead = x.shape[0] // 2
+        branches, clones = self.branches, {}
+        if mode == "train":
+            clones = {rng: _AfterLead(rng, lead) for branch in self.branches
+                      for block in branch.blocks for rng in block._drop_rngs}
+            swap = {id(p): p.twin() for p in self.parameters()}
+            swap.update((id(rng), clone) for rng, clone in clones.items())
+            branches = _swapped(self.branches, swap)
+        (pa, ya, ha), (pb, yb, hb) = T._run_two(
+            functools.partial(self._run_serial, Tensor(x.data[:lead]), mode),
+            functools.partial(self._run_serial, Tensor(x.data[lead:]), mode, branches))
+        for rng, clone in clones.items():
+            rng.bit_generator.state = clone.bit_generator.state
+        return (T.concat((pa, pb)), list(map(T.concat, zip(ya, yb))),
+                list(map(T.concat, zip(ha, hb))))
 
     def param_count(self) -> dict[str, int]:
         """Exact parameter tallies by group, via tensor enumeration."""

@@ -5,25 +5,30 @@ arithmetic with bias-style broadcasting, matmul, time-axis 2D convolution and
 max-pooling that never mix variates, weight normalization as one op, GELU,
 dropout, softmax, fused scaled dot-product attention that walks its (L, L)
 probabilities a cache-sized block of sequences at a time, and the shape ops
-(reshape/transpose/slice/sum/sqrt) required to wire them together. GELU and
-dropout work their temporaries in place; like the fused ops, they round
-exactly as the plain numpy expressions they replace.
+(reshape/transpose/slice/concat/sum/sqrt) required to wire them together.
+GELU and dropout work their temporaries in place; like the fused ops, they
+round exactly as the plain numpy expressions they replace.
 
 Graph representation: every op makes its output with `_op`, from one gradient
 function per parent (or one shared `backward(g)`, for `weight_norm` and
 `attention_time`). In grad mode, with a parent requiring grad, `_op` records
 the output as a graph node holding its parents and a backward closure built
 only then. `Tensor.backward()` topologically sorts the reachable subgraph and
-accumulates gradients into `.grad`. Object identity is the node handle.
+accumulates gradients into `.grad`; a gradient function's output that
+shares no memory with the gradient it was handed is the op's own buffer,
+and becomes a tensor's first `.grad` without a copy. Object identity is
+the node handle.
 Backward frees the graph as it goes: each node drops its closure, parents and
 gradient once its closure has run, so every activation is released as soon as
 backward is done with it and a spent graph is reclaimed by reference counting
-alone. A graph can therefore be backpropagated once; a second `backward()`
-through it raises, and `release_graph` frees a graph that will not be
-backpropagated. Grad mode (`no_grad`) and op hooks (`op_hook`) live in one
-`ContextVar`, so both are context-local: neither reaches ops recorded in
-another thread or asyncio task, and separate graphs may be built from
-separate threads.
+alone. A node's closure reaches the node through a weak reference, so no
+node is in a reference cycle and a graph that is never backpropagated goes
+with its last reference. A graph can be backpropagated once; a second
+`backward()` through it raises, and `release_graph` frees a graph that will
+not be backpropagated while its root is still referenced. Grad mode
+(`no_grad`) and op hooks (`op_hook`) live in one `ContextVar`, so both are
+context-local: neither reaches ops recorded in another thread or asyncio
+task, and separate graphs may be built from separate threads.
 
 Two lanes: `_run_two(fn_a, fn_b)` runs fn_a on one persistent helper thread
 and fn_b on the caller, with numpy's OpenBLAS held at one thread, and each
@@ -31,11 +36,13 @@ node records the lane (1 or 2) it was made in; nodes made outside are lane 0,
 the trunk. It alone decides who gets the helper: one call at a time, under a
 lock it tries once without waiting. Other callers, nested calls and
 processes that can use one CPU run both functions serially on the calling
-thread. A model forward that ran its branch groups on the helper gets a
-backward on the same two threads: the trunk runs first, then each lane's
-nodes on their own thread. Backward does this only when every node's
-gradient still accumulates in serial pop order (see `Tensor.backward`), so
-gradients are bitwise those of the one-thread pass.
+thread. A model forward that ran its branch groups or batch halves on the
+helper gets a backward on the same two threads: the trunk runs first, then
+each lane's nodes on their own thread. Backward does this only when every
+node's gradient still accumulates in serial pop order (see
+`Tensor.backward`), so gradients are bitwise those of the one-thread pass.
+A batch half that reads twin leaves (`Tensor.twin`) instead of the
+parameters keeps the two lanes' leaves apart.
 
 Broadcast rule for binary elementwise ops: the output always has the shape of
 the first operand `a`; the second operand `b` must either match exactly or
@@ -51,9 +58,11 @@ import contextvars
 import ctypes
 import functools
 import glob
+import itertools
 import math
 import os
 import threading
+import weakref
 from collections.abc import Callable, Iterable, Sequence
 from concurrent import futures
 
@@ -87,6 +96,7 @@ DIFFERENTIABLE_OPS = (
     "reshape",
     "transpose",
     "slice_time",
+    "concat",
     "sum",
     "sqrt",
 )
@@ -114,10 +124,13 @@ def op_hook(fn: Callable[[Tensor], None]):
 
     A hook may read `out._op` and wrap `out._backward` (None when no graph
     was recorded for the op). Hooks run in the order they were entered.
-    A model forward that splits its batch (see `fdnet.models`) runs each op
-    once per half, with half-batch shapes, so a hook sees both halves' ops.
-    They come from two threads only when that forward's `_run_two` got the
-    helper thread; otherwise all come from the calling thread.
+    A model forward that splits its batch (see `fdnet.models`: a no-grad
+    eval forward, and a train forward of a model whose largest branch
+    outweighs the rest) runs each op once per half, with half-batch shapes,
+    then joins the halves' outputs with `concat`, so a hook sees both
+    halves' ops and the joins. They come from two threads only when that
+    forward's `_run_two` got the helper thread; otherwise all come from the
+    calling thread.
     """
     grad_enabled, hooks, lane = _state.get()
     token = _state.set((grad_enabled, hooks + (fn,), lane))
@@ -225,6 +238,8 @@ class Tensor:
     # _run_two lane that recorded this node; leaves and nodes recorded
     # outside _run_two keep this class default, lane 0 (the trunk)
     _lane = 0
+    # the tensor a twin leaf's gradient goes to (see twin)
+    _twin_of: Tensor | None = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -252,13 +267,33 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            # g + 0.0 has the bits of 0.0 + g (IEEE addition commutes, signed
-            # zeros too) and skips a pass that fills zeros
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
+    def twin(self) -> Tensor:
+        """A leaf that shares this tensor's array and hands its gradient on.
+
+        `backward` adds the twin's gradient into this tensor's after every
+        node of the pass has run, so a graph that reads this tensor in one
+        `_run_two` lane and its twin in the other gives each `.grad` one
+        writer at a time.
+        """
+        twin = Tensor(self.data, self.requires_grad)
+        twin._twin_of = self
+        return twin
+
+    def _accumulate(self, g: np.ndarray, owned: bool = False):
+        """Add `g` into `.grad`; a first, `owned` g (held by no one else) may become it."""
+        if self.grad is not None:
             self.grad += g
+            return
+        # g + 0.0 has the bits of 0.0 + g (IEEE addition commutes, signed
+        # zeros too) and skips a pass that fills zeros. It is worked in g's
+        # own buffer when that is a writable array (not a numpy scalar) in
+        # the C layout np.empty_like(self.data) would give.
+        if (owned and g.shape == self.data.shape and g.flags.writeable
+                and g.flags.c_contiguous and self.data.flags.c_contiguous):
+            g += 0.0
+            self.grad = g
+        else:
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
 
     def backward(self, params: Sequence["Tensor"] | None = None):
         """Reverse-mode pass from this scalar; populates `.grad` on leaves.
@@ -279,6 +314,9 @@ class Tensor:
         lanes. Otherwise all nodes run here in one pass. Either way gradients
         are bitwise the same.
 
+        Twin leaves (see `twin`) then add their gradients into the tensors
+        they twin, in topological order.
+
         If `params` is given, every listed tensor is guaranteed a gradient
         buffer afterward (zeros when it does not contribute to the loss).
         """
@@ -291,7 +329,8 @@ class Tensor:
             raise InvalidArgumentError(
                 "backward through a graph that an earlier backward already released"
             )
-        self._accumulate(np.ones_like(self.data))
+        twins = [n for n in order if n._twin_of is not None]
+        self._accumulate(np.ones_like(self.data), owned=True)
         parts = _split_lanes(order)
         if parts is None:
             _backprop(order)
@@ -300,6 +339,10 @@ class Tensor:
             trunk, first, second = parts
             _backprop(trunk)
             _run_two(functools.partial(_backprop, first), functools.partial(_backprop, second))
+        for twin in twins:
+            if twin.grad is not None:
+                twin._twin_of._accumulate(twin.grad, owned=True)
+                twin.grad = None
         if params is not None:
             for p in params:
                 if p.grad is None:
@@ -390,8 +433,10 @@ def _op(op: str, data, parents: tuple[Tensor, ...], *grad_fns, backward=None) ->
     """Make op `op`'s output from `data`, and record it for backward if it needs a graph.
 
     `grad_fns` pair with `parents`: backward hands each parent that requires
-    grad `grad_fn(out.grad)`, in parent order. An op whose parents' gradients
-    come from one shared pass gives `backward(g)` instead.
+    grad `grad_fn(out.grad)`, in parent order. A grad_fn returns a view of
+    the gradient it is handed or a buffer it made and holds nowhere else,
+    which the parent may then keep as its `.grad`. An op whose parents'
+    gradients come from one shared pass gives `backward(g)` instead.
     """
     out = Tensor(data)
     out._op = op
@@ -402,10 +447,12 @@ def _op(op: str, data, parents: tuple[Tensor, ...], *grad_fns, backward=None) ->
             def backward(g, parents=parents, grad_fns=grad_fns):
                 for parent, grad_fn in zip(parents, grad_fns):
                     if parent.requires_grad:
-                        parent._accumulate(grad_fn(g))
+                        grad = grad_fn(g)
+                        parent._accumulate(grad, owned=not np.may_share_memory(grad, g))
         out.requires_grad = True
         out._parents = parents
-        out._backward = lambda out=out, backward=backward: backward(out.grad)
+        # a weak reference, so that no node is in a reference cycle
+        out._backward = lambda ref=weakref.ref(out), backward=backward: backward(ref().grad)
         out._lane = lane
     for hook in hooks:
         hook(out)
@@ -759,7 +806,7 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
             np.matmul(np.swapaxes(qs[s], -1, -2), g, out=gk_t[s])
         for t, grad in ((q, gq), (k, np.swapaxes(gk_t, -1, -2)), (v, gv)):
             if t.requires_grad:
-                t._accumulate(grad.reshape(t.shape))
+                t._accumulate(grad.reshape(t.shape), owned=True)
 
     return _op("attention_time", ctx.reshape(q.shape), (q, k, v), backward=backward)
 
@@ -796,6 +843,18 @@ def slice_time(x: Tensor, start: int, stop: int) -> Tensor:
         return g
 
     return _op("slice_time", x.data[:, :, start:stop, :].copy(), (x,), grad_x)
+
+
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join tensors along axis 0; every other axis must agree."""
+    parts = tuple(_as_tensor(p) for p in parts)
+    if not parts or any(p.data.ndim == 0 or p.shape[1:] != parts[0].shape[1:] for p in parts):
+        raise ShapeError(f"concat needs tensors of rank >= 1 that agree past axis 0, "
+                         f"got {[p.shape for p in parts]}")
+    stops = list(itertools.accumulate(p.shape[0] for p in parts))
+    return _op("concat", np.concatenate([p.data for p in parts]), parts,
+               *(lambda g, s=slice(stop - p.shape[0], stop): g[s]
+                 for p, stop in zip(parts, stops)))
 
 
 def tensor_sum(x: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
@@ -843,13 +902,13 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     def backward(gw):
         if v.requires_grad:
             gunit = gw * gr
-            v._accumulate(gunit / norms)
+            v._accumulate(gunit / norms, owned=True)
             gnorms = _unbroadcast(-gunit * v.data / (norms * norms), norms.shape)
             gsq = gnorms * 0.5 / norms * v.data
             v._accumulate(gsq)
             v._accumulate(gsq)
         if g.requires_grad:
-            g._accumulate(_unbroadcast(gw * unit, gr_shape).reshape(g.shape))
+            g._accumulate(_unbroadcast(gw * unit, gr_shape).reshape(g.shape), owned=True)
 
     return _op("weight_norm", unit * gr, (v, g), backward=backward)
 

@@ -117,7 +117,9 @@ def _check_shape_ops():
     )
     q = Tensor(np.abs(_rand((4,), 26)) + 1.0)
     v = T.grad_check(lambda: T.tensor_sum(T.sqrt(q)), q)
-    return max(r, s, u, v)
+    y = Tensor(_rand((1, 3, 8, 2), 41))
+    c = T.grad_check(lambda: _sq_sum(T.concat((x, y))), [x, y])
+    return max(r, s, u, v, c)
 
 
 def _check_wn_conv():

@@ -4,8 +4,11 @@
 attention heads, a B=64 eval forward's predictions and the loss and every
 parameter's gradient of one B=64 train step, at fixed seeds. At L_in 96,
 V 7 and embed 8 the input has 64 * 96 * 7 * 8 = 2^18.4 elements, so the eval
-forward splits its batch and the train step runs its branch groups as two
-lanes (see `fdnet.models`); under one CPU both run serially and must agree.
+forward splits its batch, FDNet's train step runs its branch groups as two
+lanes and FUNet's splits its batch too (see `fdnet.models`); under one CPU
+all run serially and must agree. FUNet's gradients, a sum of the two
+halves', are within the tolerance below of the whole batch's that the file
+holds; its loss and predictions are bitwise the same.
 
 The comparison allows 1e-12 relative error, because another CPU's OpenBLAS
 kernels may round the last bits differently; on the machine that wrote the

@@ -4,9 +4,12 @@ import gc
 import multiprocessing
 import threading
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdnet import models as M
 from fdnet import tensor as T
@@ -370,6 +373,39 @@ def all_equal(xs, ys):
     return len(xs) == len(ys) and all(np.array_equal(a, b) for a, b in zip(xs, ys))
 
 
+def all_close(xs, ys):
+    """Within the golden fixtures' tolerance: rtol 1e-12, atol 1e-12 times the largest magnitude."""
+    return len(xs) == len(ys) and all(
+        np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max()) for a, b in zip(xs, ys))
+
+
+def split_serial_step(first, second, x):
+    """A train step split by hand: x[:B//2] on `first` and x[B//2:] on `second`.
+
+    Both are copies of the model under test. Each also runs the other half
+    without grad, `second` before its half and `first` after, so that both
+    draw every dropout mask of the whole batch. Returns the joined
+    prediction and each parameter's gradient, the first half's plus the
+    second's.
+    """
+    lead = x.shape[0] // 2
+    a, b = Tensor(x.data[:lead]), Tensor(x.data[lead:])
+    with T.no_grad():
+        serial_run(second, a, "train")
+    pred_a, pred_b = serial_run(first, a, "train")[0], serial_run(second, b, "train")[0]
+    with T.no_grad():
+        serial_run(first, b, "train")
+    for p in first.parameters() + second.parameters():
+        p.zero_grad()
+    grads = [ga + gb for ga, gb in zip(train_grads(first, pred_a), train_grads(second, pred_b))]
+    return np.concatenate((pred_a.data, pred_b.data)), grads
+
+
+def drop_states(model):
+    return [rng.bit_generator.state for branch in model.branches
+            for block in branch.blocks for rng in block._drop_rngs]
+
+
 class TestBranchThreads:
     """Large forwards split the branches over two threads, bitwise like the serial loop."""
 
@@ -386,23 +422,40 @@ class TestBranchThreads:
 
     @pytest.mark.parametrize("variant", ["fdnet", "funet"])
     def test_train_steps_match_serial_loop_bitwise(self, variant):
-        # twin models: same parameters and the same dropout streams
+        # twin models: same parameters and the same dropout streams. FUNet's
+        # step splits its batch, so its gradients are bitwise those of the
+        # split done by hand and within the golden tolerance of the whole batch's.
         model, x = big_model(variant)
         twin, _ = big_model(variant)
+        first, second = big_model(variant)[0], big_model(variant)[0]
         for _ in range(2):
+            if variant == "funet":  # a sum of halves is bitwise only step by step
+                for p in model.parameters() + twin.parameters():
+                    p.zero_grad()
             pred, _ = model.forward(x, "train")
+            grads = train_grads(model, pred)
             ref_pred, _, _ = serial_run(twin, x, "train")
+            ref_grads = train_grads(twin, ref_pred)
             assert np.array_equal(pred.data, ref_pred.data)
-            assert all_equal(train_grads(model, pred), train_grads(twin, ref_pred))
+            if variant == "fdnet":
+                assert all_equal(grads, ref_grads)
+            else:
+                split_pred, split_grads = split_serial_step(first, second, x)
+                assert np.array_equal(pred.data, split_pred)
+                assert all_equal(grads, split_grads)
+                assert all_close(grads, ref_grads)
 
     def test_op_hook_sees_the_serial_ops(self):
+        # FUNet's train forward runs each op once per batch half, then joins
+        # the prediction and each branch's output and representation
         model, x = big_model("funet")
         seen, ref = [], []
         with T.op_hook(lambda out: seen.append(out._op)):
             model.forward(x, "train")
         with T.op_hook(lambda out: ref.append(out._op)):
             serial_run(model, x, "train")
-        assert collections.Counter(seen) == collections.Counter(ref)
+        joins = collections.Counter(concat=1 + 2 * len(model.branches))
+        assert collections.Counter(seen) == collections.Counter(ref * 2) + joins
 
     def test_threads_used_match_usable_cpus(self):
         model, x = big_model("fdnet")
@@ -572,6 +625,96 @@ class TestBatchSplit:
         mode = "train" if case.endswith("train") else "eval"
         with contextlib.nullcontext() if case.startswith("grad") else T.no_grad():
             assert conv_batches(model, x, mode) == {x.shape[0]}
+
+
+SPLIT_PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+class TestTrainBatchSplit:
+    """A large grad-mode train forward of a model with one dominant branch splits its batch."""
+
+    @staticmethod
+    def above_gate(monkeypatch, model, x, batch):
+        x = Tensor(x.data[:batch])
+        monkeypatch.setattr(M, "PARALLEL_MIN_ELEMENTS",
+                            min(M.PARALLEL_MIN_ELEMENTS, x.data.size * model.embed_dim))
+        return x
+
+    def test_only_a_dominant_branch_splits_train_steps(self):
+        fd = build_model("fdnet", 672, 96, 5, 0.5, 5, 8, 1)
+        fu = build_model("funet", 672, 96, 5, 0.5, 5, 8, 1)
+        assert (fd._halve_train, fu._halve_train) == (False, True)
+
+    @pytest.mark.parametrize("batch", [5, 33, 128])
+    def test_train_matches_serial_loop(self, monkeypatch, batch):
+        model, x = big_model("funet")
+        twin, _ = big_model("funet")
+        x = self.above_gate(monkeypatch, model, x, batch)
+        for _ in range(2):
+            pred, outputs, reprs = model._run(x, "train")
+            ref_pred, ref_outputs, ref_reprs = serial_run(twin, x, "train")
+            assert pred._op == "concat"
+            assert np.array_equal(pred.data, ref_pred.data)
+            assert all_equal([o.data for o in outputs], [o.data for o in ref_outputs])
+            assert all_equal([h.data for h in reprs], [h.data for h in ref_reprs])
+            assert drop_states(model) == drop_states(twin)
+            assert all_close(train_grads(model, pred), train_grads(twin, ref_pred))
+
+    @pytest.mark.parametrize("batch", [5, 128])
+    def test_one_and_two_cpus_train_alike(self, monkeypatch, batch):
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+            model, x = big_model("funet")
+            x = self.above_gate(monkeypatch, model, x, batch)
+            run = []
+            for _ in range(2):
+                pred, _ = model.forward(x, "train")
+                run += [pred.data] + [g.copy() for g in train_grads(model, pred)]
+            runs.append(run)
+        assert all_equal(*runs)
+
+    def test_backward_runs_on_two_threads(self):
+        model, x = big_model("funet")
+        assert len(traced_train_step(model, x)[1]) == min(2, T._usable_cpus())
+
+    def test_input_requiring_grad_keeps_the_whole_batch(self):
+        model, x = big_model("funet")
+        twin, _ = big_model("funet")
+        xa, xb = (Tensor(x.data, requires_grad=True) for _ in range(2))
+        assert conv_batches(model, xa, "train") == conv_batches(twin, xb, "train") == {128}
+        pred, _ = model.forward(xa, "train")
+        ref_pred, _, _ = serial_run(twin, xb, "train")
+        assert np.array_equal(pred.data, ref_pred.data)
+        assert all_equal(train_grads(model, pred), train_grads(twin, ref_pred))
+        assert np.array_equal(xa.grad, xb.grad)
+
+    @pytest.mark.parametrize("batch", [5, 33, 128])
+    def test_fdnet_train_keeps_the_whole_batch(self, monkeypatch, batch):
+        model, x = big_model("fdnet")
+        twin, _ = big_model("fdnet")
+        x = self.above_gate(monkeypatch, model, x, batch)
+        assert conv_batches(model, x, "train") == conv_batches(twin, x, "train") == {batch}
+        pred, _ = model.forward(x, "train")
+        ref_pred, _, _ = serial_run(twin, x, "train")
+        assert np.array_equal(pred.data, ref_pred.data)
+        assert all_equal(train_grads(model, pred), train_grads(twin, ref_pred))
+
+    @SPLIT_PROPERTY
+    @given(batch=st.integers(4, 40), l_in=st.integers(24, 64), f=st.integers(3, 4),
+           variates=st.integers(1, 3), heads=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**16))
+    def test_any_batch_draws_the_whole_batch_masks(self, batch, l_in, f, variates, heads, seed):
+        # an off-by-one in the skipped draws would show at odd batches
+        model, twin = (build_model("funet", l_in, 4, f, 0.5, 2, 4, seed, heads=heads)
+                       for _ in range(2))
+        x = Tensor(np.random.default_rng(seed).normal(size=(batch, 1, l_in, variates)))
+        with mock.patch.object(M, "PARALLEL_MIN_ELEMENTS", 0):
+            pred, _ = model.forward(x, "train")
+        ref_pred, _, _ = serial_run(twin, x, "train")
+        assert model._halve_train and pred._op == "concat"
+        assert drop_states(model) == drop_states(twin)
+        assert all_close([pred.data], [ref_pred.data])
 
 
 def run_in_forked_child(child):

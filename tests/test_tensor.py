@@ -691,7 +691,7 @@ def _never(g):
 def _record_accumulations(t):
     calls = []
     accumulate = t._accumulate
-    t._accumulate = lambda g: (calls.append(np.array(g)), accumulate(g))
+    t._accumulate = lambda g, owned=False: (calls.append(np.array(g)), accumulate(g, owned))
     return calls
 
 
@@ -739,6 +739,46 @@ class TestOp:
         for out in [plain, *outs]:
             assert out._backward is None and out._parents == () and not out.requires_grad
         assert [t._op for t in seen] == ["probe", "probe", "add", "weight_norm"]
+
+    def test_first_gradient_keeps_only_a_buffer_no_one_else_holds(self):
+        # gelu hands x a buffer it made, which becomes x.grad; add hands a and
+        # b the gradient its output holds, which each must copy
+        x, a, b = (T.Tensor(rand((3, 4), seed), requires_grad=True) for seed in (1, 2, 3))
+        handed = {}
+        for name, t in (("x", x), ("a", a), ("b", b)):
+            def accumulate(g, owned=False, name=name, original=t._accumulate):
+                handed[name] = (g, owned)
+                original(g, owned)
+            t._accumulate = accumulate
+        y = T.reshape(T.add(T.gelu(x), T.add(a, b)), (4, 3))
+        T.tensor_sum(T.mul(y, y)).backward()
+        assert handed["x"][1] and x.grad is handed["x"][0]
+        assert not handed["a"][1] and not handed["b"][1]
+        assert not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(a.grad, b.grad) and np.array_equal(a.grad, 2.0 * y.data.reshape(3, 4))
+
+    def test_twin_gradient_adds_into_its_tensor_after_the_pass(self):
+        p = T.Tensor([1.0, 2.0], requires_grad=True)
+        twin = p.twin()
+        assert twin.data is p.data and twin.requires_grad
+        T.tensor_sum(T.add(T.mul(p, p), T.mul(twin, 3.0))).backward()
+        assert np.array_equal(p.grad, [5.0, 7.0]) and twin.grad is None
+
+
+class TestConcat:
+    def test_forward_and_gradients_slice_the_join(self):
+        a = T.Tensor(rand((2, 3), 4), requires_grad=True)
+        b = T.Tensor(rand((1, 3), 5), requires_grad=True)
+        out = T.concat((a, b))
+        assert np.array_equal(out.data, np.concatenate((a.data, b.data)))
+        T.tensor_sum(T.mul(out, T.Tensor(np.arange(9.0).reshape(3, 3)))).backward()
+        assert np.array_equal(a.grad, np.arange(6.0).reshape(2, 3))
+        assert np.array_equal(b.grad, np.arange(6.0, 9.0).reshape(1, 3))
+
+    @pytest.mark.parametrize("parts", [(), (np.zeros(()),), (np.zeros((2, 3)), np.zeros((2, 4)))])
+    def test_mismatched_parts_rejected(self, parts):
+        with pytest.raises(ShapeError):
+            T.concat([T.Tensor(p) for p in parts])
 
 
 class TestGraphRelease:

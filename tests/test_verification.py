@@ -36,7 +36,7 @@ class TestSuite:
         assert DEFAULT_TOLERANCE == 1e-3
 
     @pytest.mark.parametrize("op", ["gelu", "conv2d_time", "matmul", "sum", "attention_time",
-                                    "sqrt", "weight_norm"])
+                                    "sqrt", "weight_norm", "concat"])
     def test_corrupted_op_detected(self, op):
         results = run_gradient_checks(corrupt_op=op)
         failing = {r.name for r in results if not r.passed}
