@@ -305,14 +305,14 @@ class Tensor:
         InvalidArgumentError.
 
         When the forward recorded nodes in both lanes of `_run_two` (a large
-        model forward's two branch groups), the trunk, the nodes recorded
-        outside the lanes, runs first on this thread, and then `_run_two`
-        runs each lane's nodes as one of its two functions. That happens
-        only when it keeps every gradient's accumulation order: the trunk
-        pops before every lane node, a lane node's grad-requiring parents are
-        leaves or nodes of its own lane, and no leaf is a parent in both
-        lanes. Otherwise all nodes run here in one pass. Either way gradients
-        are bitwise the same.
+        model forward's two branch groups or batch halves), the trunk, the
+        nodes recorded outside the lanes, runs first on this thread, and
+        then `_run_two` runs each lane's nodes as one of its two functions.
+        That happens only when it keeps every gradient's accumulation order:
+        the trunk pops before every lane node, a lane node's grad-requiring
+        parents are leaves or nodes of its own lane, and no leaf is a parent
+        in both lanes. Otherwise all nodes run here in one pass. Either way
+        gradients are bitwise the same.
 
         Twin leaves (see `twin`) then add their gradients into the tensors
         they twin, in topological order.

@@ -700,6 +700,23 @@ class TestTrainBatchSplit:
         assert np.array_equal(pred.data, ref_pred.data)
         assert all_equal(train_grads(model, pred), train_grads(twin, ref_pred))
 
+    def test_forward_wrapped_on_a_branch_instance_stays_with_the_first_half(self):
+        # a tracer wraps each branch's forward on the instance; the twin
+        # branches must run their own class's forward, not the wrapper
+        model, x = big_model("funet")
+        twin, _ = big_model("funet")
+        calls = []
+        for branch in model.branches:
+            branch.forward = lambda *args, forward=branch.forward: (calls.append(1),
+                                                                   forward(*args))[1]
+        for _ in range(2):
+            pred, _ = model.forward(x, "train")
+            ref_pred, _, _ = serial_run(twin, x, "train")
+            assert np.array_equal(pred.data, ref_pred.data)
+            assert all_close(train_grads(model, pred), train_grads(twin, ref_pred))
+        assert drop_states(model) == drop_states(twin)
+        assert len(calls) == 2 * len(model.branches)
+
     @SPLIT_PROPERTY
     @given(batch=st.integers(4, 40), l_in=st.integers(24, 64), f=st.integers(3, 4),
            variates=st.integers(1, 3), heads=st.sampled_from([1, 2]),
