@@ -11,6 +11,7 @@ the one place parameter names are made.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -55,6 +56,18 @@ class Module:
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
+
+    def __deepcopy__(self, memo):
+        """A deep copy without the callables set on the instance.
+
+        A function set on an instance (a tracer's wrapper of its `forward`,
+        say) calls into the original module, so the copy leaves it out and
+        runs its class's methods on its own attributes.
+        """
+        twin = memo[id(self)] = object.__new__(type(self))
+        twin.__dict__.update((name, copy.deepcopy(value, memo))
+                             for name, value in vars(self).items() if not callable(value))
+        return twin
 
 
 def _singular(plural: str) -> str:

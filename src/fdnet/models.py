@@ -33,17 +33,18 @@ Each window's forecast depends on that window alone, so a forward of at
 least 4 windows and at least PARALLEL_MIN_ELEMENTS input elements cuts the
 batch instead when it is an eval-mode forward with grad off, or a
 grad-mode train forward of an input that does not require grad, in a model
-whose largest branch holds more than half of the summed `_Branch.work`
-(FUNet's branch0, 630 of 1,134 at the default plan; no cut of the branches
-can balance such a model, and FDNet's, 336 of 1,302, never takes this
-path). x[:B//2] and x[B//2:] each run the serial branch loop as
+whose largest branch holds more than half of the summed `_Branch.work`, so
+that no cut of the branches can balance it. At the default plan that is
+FUNet (branch0, 630 of 1,134) and not FDNet (336 of 1,302); FDNet at f 1
+or 2 splits too. x[:B//2] and x[B//2:] each run the serial branch loop as
 `_run_two`'s two functions, and `tensor.concat` joins the prediction,
 branch outputs and representations. A train forward runs the second half
-on twin parameter leaves (`Tensor.twin`), whose gradients backward adds
-into the parameters' after the first half's, and on clones of each
-dropout site's generator that skip the first half's draws; the originals
-then take over the clones' states. Every mask is thus the whole batch's,
-and the streams go on as if the whole batch had drawn. The split depends
+on a deep copy of the branches that holds twin parameter leaves
+(`Tensor.twin`), whose gradients backward adds into the parameters' after
+the first half's, and `tensor.TailGenerator` copies of each dropout site's
+generator, which skip the first half's draws; the originals then take over
+the copies' states. Every mask is thus the whole batch's, and the streams
+go on as if the whole batch had drawn. The split depends
 on the input's shape and the model's plan alone, never on the CPU count:
 a half's smaller head GEMM can take another OpenBLAS kernel and differ
 from the whole batch's in the last bits (FUNet at L_in 672, V=1, embed 32,
@@ -224,41 +225,6 @@ def _sum_branches(results):
     return pred, outputs, [h for _, h in results]
 
 
-class _AfterLead(np.random.Generator):
-    """A dropout site's generator for a batch's later half: a clone that skips.
-
-    Its draw (`tensor.dropout` draws once per forward, into `out`) first
-    advances past the draws of the `lead` windows before the half, one PCG64
-    step per double, so the half's mask is the whole batch's mask over its
-    windows and the clone ends where a whole-batch draw would.
-    """
-
-    def __init__(self, rng: np.random.Generator, lead: int):
-        super().__init__(copy.deepcopy(rng.bit_generator))
-        self.lead = lead
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        self.bit_generator.advance(self.lead * (out.size // out.shape[0]))
-        return super().random(size, dtype, out)
-
-
-def _swapped(value, swap: dict[int, object]):
-    """`value` with the objects in `swap`, keyed by id, replaced through modules and lists.
-
-    Modules and lists are copied and every other value is shared. Callables
-    set on a module instance (a tracer's wrapper of its forward, say) are
-    left out, so a copy runs its class's methods on its own attributes.
-    """
-    if isinstance(value, Module):
-        twin = object.__new__(type(value))
-        twin.__dict__.update((name, _swapped(v, swap)) for name, v in vars(value).items()
-                             if not callable(v))
-        return twin
-    if isinstance(value, list):
-        return [_swapped(v, swap) for v in value]
-    return swap.get(id(value), value)
-
-
 class _FocalModel(Module):
     """Shared machinery for both model variants."""
 
@@ -285,7 +251,11 @@ class _FocalModel(Module):
         work = [branch.work for branch in self.branches]
         self._cut = min(range(1, len(work)),
                         key=lambda k: max(sum(work[:k]), sum(work[k:])), default=0)
-        # no branch cut balances the lanes: train steps split the batch
+        # No branch cut balances the lanes: train steps split the batch. On the
+        # 2-vCPU Xeon the benchmark runs on (L_in 672, V 7, embed 8, B 16), a
+        # split step took 0.56-0.94x the branch-lane step at each plan this
+        # picks (FDNet f 1, 2 and 3 at alpha 0.7; FUNet f 1, 3, 4, 5), and
+        # 1.01x at FUNet f 2 and 1.12x at FDNet's default plan, which it keeps.
         self._halve_train = 2 * max(work) > sum(work)
 
     @property
@@ -357,11 +327,11 @@ class _FocalModel(Module):
         lead = x.shape[0] // 2
         branches, clones = self.branches, {}
         if mode == "train":
-            clones = {rng: _AfterLead(rng, lead) for branch in self.branches
+            clones = {rng: T.TailGenerator(rng, lead) for branch in self.branches
                       for block in branch.blocks for rng in block._drop_rngs}
-            swap = {id(p): p.twin() for p in self.parameters()}
-            swap.update((id(rng), clone) for rng, clone in clones.items())
-            branches = _swapped(self.branches, swap)
+            memo = {id(p): p.twin() for p in self.parameters()}
+            memo.update((id(rng), clone) for rng, clone in clones.items())
+            branches = copy.deepcopy(self.branches, memo)
         (pa, ya, ha), (pb, yb, hb) = T._run_two(
             functools.partial(self._run_serial, Tensor(x.data[:lead]), mode),
             functools.partial(self._run_serial, Tensor(x.data[lead:]), mode, branches))

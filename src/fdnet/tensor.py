@@ -14,10 +14,7 @@ function per parent (or one shared `backward(g)`, for `weight_norm` and
 `attention_time`). In grad mode, with a parent requiring grad, `_op` records
 the output as a graph node holding its parents and a backward closure built
 only then. `Tensor.backward()` topologically sorts the reachable subgraph and
-accumulates gradients into `.grad`; a gradient function's output that
-shares no memory with the gradient it was handed is the op's own buffer,
-and becomes a tensor's first `.grad` without a copy. Object identity is
-the node handle.
+accumulates gradients into `.grad`. Object identity is the node handle.
 Backward frees the graph as it goes: each node drops its closure, parents and
 gradient once its closure has run, so every activation is released as soon as
 backward is done with it and a spent graph is reclaimed by reference counting
@@ -55,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import copy
 import ctypes
 import functools
 import glob
@@ -279,21 +277,13 @@ class Tensor:
         twin._twin_of = self
         return twin
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False):
-        """Add `g` into `.grad`; a first, `owned` g (held by no one else) may become it."""
-        if self.grad is not None:
-            self.grad += g
-            return
-        # g + 0.0 has the bits of 0.0 + g (IEEE addition commutes, signed
-        # zeros too) and skips a pass that fills zeros. It is worked in g's
-        # own buffer when that is a writable array (not a numpy scalar) in
-        # the C layout np.empty_like(self.data) would give.
-        if (owned and g.shape == self.data.shape and g.flags.writeable
-                and g.flags.c_contiguous and self.data.flags.c_contiguous):
-            g += 0.0
-            self.grad = g
-        else:
+    def _accumulate(self, g: np.ndarray):
+        if self.grad is None:
+            # g + 0.0 has the bits of 0.0 + g (IEEE addition commutes, signed
+            # zeros too) and skips a pass that fills zeros
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self, params: Sequence["Tensor"] | None = None):
         """Reverse-mode pass from this scalar; populates `.grad` on leaves.
@@ -330,7 +320,7 @@ class Tensor:
                 "backward through a graph that an earlier backward already released"
             )
         twins = [n for n in order if n._twin_of is not None]
-        self._accumulate(np.ones_like(self.data), owned=True)
+        self._accumulate(np.ones_like(self.data))
         parts = _split_lanes(order)
         if parts is None:
             _backprop(order)
@@ -341,7 +331,7 @@ class Tensor:
             _run_two(functools.partial(_backprop, first), functools.partial(_backprop, second))
         for twin in twins:
             if twin.grad is not None:
-                twin._twin_of._accumulate(twin.grad, owned=True)
+                twin._twin_of._accumulate(twin.grad)
                 twin.grad = None
         if params is not None:
             for p in params:
@@ -433,10 +423,8 @@ def _op(op: str, data, parents: tuple[Tensor, ...], *grad_fns, backward=None) ->
     """Make op `op`'s output from `data`, and record it for backward if it needs a graph.
 
     `grad_fns` pair with `parents`: backward hands each parent that requires
-    grad `grad_fn(out.grad)`, in parent order. A grad_fn returns a view of
-    the gradient it is handed or a buffer it made and holds nowhere else,
-    which the parent may then keep as its `.grad`. An op whose parents'
-    gradients come from one shared pass gives `backward(g)` instead.
+    grad `grad_fn(out.grad)`, in parent order. An op whose parents' gradients
+    come from one shared pass gives `backward(g)` instead.
     """
     out = Tensor(data)
     out._op = op
@@ -447,8 +435,7 @@ def _op(op: str, data, parents: tuple[Tensor, ...], *grad_fns, backward=None) ->
             def backward(g, parents=parents, grad_fns=grad_fns):
                 for parent, grad_fn in zip(parents, grad_fns):
                     if parent.requires_grad:
-                        grad = grad_fn(g)
-                        parent._accumulate(grad, owned=not np.may_share_memory(grad, g))
+                        parent._accumulate(grad_fn(g))
         out.requires_grad = True
         out._parents = parents
         # a weak reference, so that no node is in a reference cycle
@@ -712,6 +699,21 @@ def gelu(x: Tensor) -> Tensor:
     return _op("gelu", x.data * cdf, (x,), grad_x)
 
 
+class TailGenerator(np.random.Generator):
+    """A copy of a dropout generator, for a batch's windows after its first `lead`.
+
+    `dropout` with the copy first skips the draws of `lead` windows shaped
+    like its input's, so each of its masks is the one that a draw from the
+    original over the whole batch gives the later windows, and the copy
+    ends where that draw would leave the original. The original must be a
+    PCG64 generator (`np.random.default_rng`).
+    """
+
+    def __init__(self, rng: np.random.Generator, lead: int):
+        super().__init__(copy.deepcopy(rng.bit_generator))
+        self.lead = lead
+
+
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: train mode zeroes elements w.p. p and rescales by 1/(1-p).
 
@@ -728,8 +730,12 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
         return _op("dropout", x.data, (x,), _same)
     if rng is None:
         raise InvalidParameterError("dropout in train mode requires an rng")
+    mask = np.empty(x.shape)
+    if isinstance(rng, TailGenerator):
+        # random() below takes one PCG64 step per double, windows on axis 0
+        rng.bit_generator.advance(rng.lead * math.prod(x.shape[1:]))
     # in place, with the draws and roundings of (rng.random(shape) >= p) * (1 / (1 - p))
-    mask = rng.random(out=np.empty(x.shape))
+    rng.random(out=mask)
     np.greater_equal(mask, p, out=mask)
     mask *= 1.0 / (1.0 - p)
     return _op("dropout", x.data * mask, (x,), lambda g: g * mask)
@@ -806,7 +812,7 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
             np.matmul(np.swapaxes(qs[s], -1, -2), g, out=gk_t[s])
         for t, grad in ((q, gq), (k, np.swapaxes(gk_t, -1, -2)), (v, gv)):
             if t.requires_grad:
-                t._accumulate(grad.reshape(t.shape), owned=True)
+                t._accumulate(grad.reshape(t.shape))
 
     return _op("attention_time", ctx.reshape(q.shape), (q, k, v), backward=backward)
 
@@ -902,13 +908,13 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     def backward(gw):
         if v.requires_grad:
             gunit = gw * gr
-            v._accumulate(gunit / norms, owned=True)
+            v._accumulate(gunit / norms)
             gnorms = _unbroadcast(-gunit * v.data / (norms * norms), norms.shape)
             gsq = gnorms * 0.5 / norms * v.data
             v._accumulate(gsq)
             v._accumulate(gsq)
         if g.requires_grad:
-            g._accumulate(_unbroadcast(gw * unit, gr_shape).reshape(g.shape), owned=True)
+            g._accumulate(_unbroadcast(gw * unit, gr_shape).reshape(g.shape))
 
     return _op("weight_norm", unit * gr, (v, g), backward=backward)
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,19 @@ class TestInit:
         draws = kaiming_uniform(gen(46), (10_000,), fan_in)
         target = kaiming_target_std(fan_in)
         assert abs(draws.std() - target) / target < 0.2
+
+
+class TestModuleCopy:
+    def test_deepcopy_leaves_out_callables_set_on_the_instance(self):
+        # a tracer's wrapper calls into the original; the copy runs the
+        # class's forward on its own parameters
+        head = LinearHead(4, 3, rng=gen(1))
+        head.forward = lambda features: pytest.fail("the copy ran the original's wrapper")
+        twin_bias = Tensor(np.ones(3), requires_grad=True)
+        twin = copy.deepcopy(head, {id(head.bias): twin_bias})
+        assert "forward" not in vars(twin) and twin.bias is twin_bias
+        assert twin.weight is not head.weight
+        assert np.array_equal(twin.weight.data, head.weight.data)
+        x = Tensor(gen(2).normal(size=(2, 4, 5)))
+        ref = LinearHead.forward(head, x).data + 1.0
+        assert np.array_equal(twin.forward(x).data, ref)

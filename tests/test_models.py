@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdnet import models as M
@@ -344,9 +344,9 @@ class TestGradientThroughModels:
         assert err < 1e-3
 
 
-def big_model(variant, seed=11, heads=1):
+def big_model(variant, seed=11, heads=1, f=4):
     """A model and input just above the size where branches go to two threads."""
-    model = build_model(variant, l_in=64, l_out=8, f=4, alpha=0.5, n_layers=2,
+    model = build_model(variant, l_in=64, l_out=8, f=f, alpha=0.5, n_layers=2,
                         embed_dim=8, seed=seed, heads=heads)
     x = Tensor(np.random.default_rng(seed).normal(size=(128, 1, 64, 4)))
     assert 128 * 64 * 4 * 8 >= M.PARALLEL_MIN_ELEMENTS and model._cut > 0
@@ -631,7 +631,7 @@ SPLIT_PROPERTY = settings(derandomize=True, deadline=None, database=None, max_ex
 
 
 class TestTrainBatchSplit:
-    """A large grad-mode train forward of a model with one dominant branch splits its batch."""
+    """A large grad-mode train forward splits its batch when no branch cut balances the model."""
 
     @staticmethod
     def above_gate(monkeypatch, model, x, batch):
@@ -640,15 +640,24 @@ class TestTrainBatchSplit:
                             min(M.PARALLEL_MIN_ELEMENTS, x.data.size * model.embed_dim))
         return x
 
-    def test_only_a_dominant_branch_splits_train_steps(self):
-        fd = build_model("fdnet", 672, 96, 5, 0.5, 5, 8, 1)
-        fu = build_model("funet", 672, 96, 5, 0.5, 5, 8, 1)
-        assert (fd._halve_train, fu._halve_train) == (False, True)
+    @pytest.mark.parametrize("variant, f, alpha, halves", [
+        ("fdnet", 5, 0.5, False), ("funet", 5, 0.5, True),
+        ("fdnet", 1, 0.5, True), ("fdnet", 2, 0.5, True), ("fdnet", 3, 0.7, True),
+        ("fdnet", 3, 0.5, False), ("funet", 1, 0.5, True), ("funet", 2, 0.5, False)])
+    def test_only_a_branch_over_half_the_work_splits_train_steps(self, variant, f, alpha,
+                                                                 halves):
+        # FUNet at f 2 is an even cut; FDNet at f 3 has a largest branch of
+        # 1008 of 2520 (at alpha 0.7, 1645 of 3003)
+        model = build_model(variant, 672, 96, f, alpha, 5, 8, 1)
+        work = [b.work for b in model.branches]
+        assert model._halve_train == halves == (2 * max(work) > sum(work))
 
+    @pytest.mark.parametrize("variant, f", [("funet", 4), ("fdnet", 2)])
     @pytest.mark.parametrize("batch", [5, 33, 128])
-    def test_train_matches_serial_loop(self, monkeypatch, batch):
-        model, x = big_model("funet")
-        twin, _ = big_model("funet")
+    def test_train_matches_serial_loop(self, monkeypatch, batch, variant, f):
+        model, x = big_model(variant, f=f)
+        twin, _ = big_model(variant, f=f)
+        assert model._halve_train
         x = self.above_gate(monkeypatch, model, x, batch)
         for _ in range(2):
             pred, outputs, reprs = model._run(x, "train")
@@ -690,7 +699,7 @@ class TestTrainBatchSplit:
         assert np.array_equal(xa.grad, xb.grad)
 
     @pytest.mark.parametrize("batch", [5, 33, 128])
-    def test_fdnet_train_keeps_the_whole_batch(self, monkeypatch, batch):
+    def test_fdnet_with_an_even_cut_keeps_the_whole_batch(self, monkeypatch, batch):
         model, x = big_model("fdnet")
         twin, _ = big_model("fdnet")
         x = self.above_gate(monkeypatch, model, x, batch)
@@ -718,18 +727,20 @@ class TestTrainBatchSplit:
         assert len(calls) == 2 * len(model.branches)
 
     @SPLIT_PROPERTY
-    @given(batch=st.integers(4, 40), l_in=st.integers(24, 64), f=st.integers(3, 4),
-           variates=st.integers(1, 3), heads=st.sampled_from([1, 2]),
-           seed=st.integers(0, 2**16))
-    def test_any_batch_draws_the_whole_batch_masks(self, batch, l_in, f, variates, heads, seed):
+    @given(variant=st.sampled_from(["fdnet", "funet"]), batch=st.integers(4, 40),
+           l_in=st.integers(24, 64), f=st.integers(1, 4), variates=st.integers(1, 3),
+           heads=st.sampled_from([1, 2]), seed=st.integers(0, 2**16))
+    def test_any_batch_draws_the_whole_batch_masks(self, variant, batch, l_in, f, variates,
+                                                   heads, seed):
         # an off-by-one in the skipped draws would show at odd batches
-        model, twin = (build_model("funet", l_in, 4, f, 0.5, 2, 4, seed, heads=heads)
+        model, twin = (build_model(variant, l_in, 4, f, 0.5, 2, 4, seed, heads=heads)
                        for _ in range(2))
+        assume(model._halve_train)
         x = Tensor(np.random.default_rng(seed).normal(size=(batch, 1, l_in, variates)))
         with mock.patch.object(M, "PARALLEL_MIN_ELEMENTS", 0):
             pred, _ = model.forward(x, "train")
         ref_pred, _, _ = serial_run(twin, x, "train")
-        assert model._halve_train and pred._op == "concat"
+        assert pred._op == "concat"
         assert drop_states(model) == drop_states(twin)
         assert all_close([pred.data], [ref_pred.data])
 
