@@ -39,7 +39,8 @@ each lane's nodes on their own thread. Backward does this only when every
 node's gradient still accumulates in serial pop order (see
 `Tensor.backward`), so gradients are bitwise those of the one-thread pass.
 A batch half that reads twin leaves (`Tensor.twin`) instead of the
-parameters keeps the two lanes' leaves apart.
+parameters keeps the two lanes' leaves apart, and one that draws its dropout
+masks from `TailGenerator` copies keeps their generators apart.
 
 Broadcast rule for binary elementwise ops: the output always has the shape of
 the first operand `a`; the second operand `b` must either match exactly or
