@@ -166,11 +166,11 @@ class MultiHeadAttention(Module):
     d/h slices, attention weights are softmax(Q K^T / sqrt(d/h)), and the
     concatenated head outputs pass through the output projection. Projections
     carry no bias. The score-softmax-context core is the fused
-    `tensor.attention_time` op: it runs every pass over the (L x L)
-    probabilities of a few (sequence, head) pairs at a time, sized to stay
-    in cache, and keeps one probability buffer per head and sequence for
-    backward (none under `no_grad`) instead of one per step of the unfused
-    chain.
+    `tensor.attention_time` op: it runs every pass over the (L x L) scores
+    of a few (sequence, head) pairs, or a run of rows of one, at a time,
+    sized to stay in cache, and keeps one buffer of unnormalised
+    exponentials per head and sequence, with their row sums, for backward
+    (none under `no_grad`) instead of one per step of the unfused chain.
     """
 
     def __init__(self, d: int, heads: int = 1, *, rng: np.random.Generator):

@@ -255,7 +255,8 @@ class _FocalModel(Module):
         # 2-vCPU Xeon the benchmark runs on (L_in 672, V 7, embed 8, B 16), a
         # split step took 0.56-0.94x the branch-lane step at each plan this
         # picks (FDNet f 1, 2 and 3 at alpha 0.7; FUNet f 1, 3, 4, 5), and
-        # 1.01x at FUNet f 2 and 1.12x at FDNet's default plan, which it keeps.
+        # 1.00-1.03x at FUNet f 2 and 1.12x at FDNet's default plan, which it
+        # keeps. FUNet f 2 and f 5 (0.87x) are timed with attention_time's row chunks.
         self._halve_train = 2 * max(work) > sum(work)
 
     @property

@@ -4,10 +4,12 @@ The operation set is exactly what the forecasting models need: elementwise
 arithmetic with bias-style broadcasting, matmul, time-axis 2D convolution and
 max-pooling that never mix variates, weight normalization as one op, GELU,
 dropout, softmax, fused scaled dot-product attention that walks its (L, L)
-probabilities a cache-sized block of sequences at a time, and the shape ops
-(reshape/transpose/slice/concat/sum/sqrt) required to wire them together.
-GELU and dropout work their temporaries in place; like the fused ops, they
-round exactly as the plain numpy expressions they replace.
+scores in cache-sized tasks (a few sequences, or rows of one) and keeps
+unnormalised exponentials and row sums, not probabilities, for backward,
+and the shape ops (reshape/transpose/slice/concat/sum/sqrt) required to
+wire them together. GELU and dropout work their temporaries in place and,
+like the fused conv, maxpool and weight norm, round exactly as the plain
+numpy expressions they replace; attention does not (see `attention_time`).
 
 Graph representation: every op makes its output with `_op`, from one gradient
 function per parent (or one shared `backward(g)`, for `weight_norm` and
@@ -754,13 +756,13 @@ def softmax_lastdim(x: Tensor) -> Tensor:
                lambda gy: y * (gy - (gy * y).sum(axis=-1, keepdims=True)))
 
 
-# Bytes of (L, L) float64 probabilities that attention_time handles at once.
-# A backward block holds about three such buffers (p, g and g * p); at this
-# size they stay near one core's 2 MiB L2 cache on the 2-vCPU Xeon the
-# benchmark runs on, so each pass over a block reads cache, not DRAM. Of
-# 0.125-4 MiB, 0.25-1 MiB measured fastest there at L = 84-336, 4 MiB and
-# the whole array slowest. At L = 336 (FUNet's branch0) a block is one
-# sequence.
+# Bytes of (L, L) float64 scores that attention_time handles at once: as
+# many whole sequences as fit or, past L = 256, BLOCK_BYTES // (8 L) rows of
+# one (195 at FUNet branch0's L = 336). A backward task holds two such
+# buffers (E and the score gradient); at this size they stay near one core's
+# 2 MiB L2 cache on the 2-vCPU Xeon the benchmark runs on, so each pass reads
+# cache, not DRAM. Of 0.125-4 MiB, 0.25-1 MiB measured fastest there at
+# L = 84-336, 4 MiB and the whole array slowest.
 BLOCK_BYTES = 512 * 1024
 
 
@@ -768,14 +770,15 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """softmax(q @ k^T * scale) @ v over the trailing two axes, in one op.
 
     q, k, v are (..., L, d) with equal leading dims, seen as n = prod(...)
-    sequences. Forward and backward walk them in blocks of BLOCK_BYTES of
-    (L, L) probabilities (at least one sequence), and each block runs every
-    pass while it is in cache. Probabilities are computed in place, in the
-    operation order of matmul -> mul -> softmax_lastdim -> matmul, and each
-    product is the same per-matrix call on fewer matrices at a time, so
-    results and gradients are bitwise those of the unfused chain. In grad
-    mode the probabilities of all blocks are kept for backward in one
-    (n, L, L) array; under `no_grad` only one block is ever allocated.
+    sequences. Forward and backward walk the (L, L) scores in BLOCK_BYTES
+    tasks and make every pass over a task while it is in cache. Forward
+    exponentiates S = (q * scale) @ k^T less its row max in place, keeps
+    those exponentials E and their row sums r, and returns (E @ v) / r.
+    Backward takes the softmax's row correction from the output, D =
+    rowsum(gy * ctx), as FlashAttention does, and the score gradient from
+    one GEMM on [gy, D] / r and [v, -1] * scale, times E. Under `no_grad`
+    only one task's buffer is allocated. Results are not bitwise those of
+    the unfused chain; the tests hold them to a long-double reference.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim < 2 or q.shape[-2] < 1 or not q.shape == k.shape == v.shape:
@@ -783,35 +786,46 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
                          f"got {q.shape}, {k.shape}, {v.shape}")
     length, d = q.shape[-2:]
     n = math.prod(q.shape[:-2])
-    rows = max(1, BLOCK_BYTES // (length * length * 8))
-    blocks = [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+    rows = max(1, BLOCK_BYTES // (8 * length))
+    seqs = max(1, rows // length)
+    tasks = [(slice(i, min(i + seqs, n)), slice(j, min(j + rows, length)))
+             for i in range(0, n, seqs) for j in range(0, length, rows)]
     qs, ks, vs = (t.data.reshape(n, length, d) for t in (q, k, v))
     keep = _state.get()[0] and (q.requires_grad or k.requires_grad or v.requires_grad)
-    probs = np.empty((n if keep else min(rows, n), length, length))
-    ctx = np.empty((n, length, d))
-    for s in blocks:
-        p = probs[s] if keep else probs[: s.stop - s.start]
-        np.matmul(qs[s], np.swapaxes(ks[s], -1, -2), out=p)
-        p *= scale
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, vs[s], out=ctx[s])
+    exps = np.empty((n, length, length) if keep else (min(seqs, n), min(rows, length), length))
+    sums, ctx = np.empty((n, length, 1)), np.empty((n, length, d))
+    q_scaled, k_t = qs * scale, ks.swapaxes(1, 2)
+    for s, r in tasks:
+        e = exps[s, r] if keep else exps[: s.stop - s.start, : r.stop - r.start]
+        np.matmul(q_scaled[s, r], k_t[s], out=e)
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e.sum(axis=-1, keepdims=True, out=sums[s, r])
+        np.matmul(e, vs[s], out=ctx[s, r])
+    ctx /= sums
 
     def backward(gy):
-        gys = gy.reshape(n, length, d)
-        gq, gv = np.empty((n, length, d)), np.empty((n, length, d))
-        gk_t = np.empty((n, d, length))
-        for s in blocks:
-            p = probs[s]
-            np.matmul(np.swapaxes(p, -1, -2), gys[s], out=gv[s])
-            g = gys[s] @ np.swapaxes(vs[s], -1, -2)
-            g -= (g * p).sum(axis=-1, keepdims=True)
-            g *= p
-            g *= scale
-            np.matmul(g, ks[s], out=gq[s])
-            np.matmul(np.swapaxes(qs[s], -1, -2), g, out=gk_t[s])
-        for t, grad in ((q, gq), (k, np.swapaxes(gk_t, -1, -2)), (v, gv)):
+        # [gy, D] / r with D = rowsum(gy * ctx), the softmax's row correction;
+        # its product with ([v, -1] * scale)^T is scale * (gy @ v^T - D) / r
+        lhs = np.empty((n, length, d + 1))
+        np.divide(gy.reshape(n, length, d), sums, out=lhs[..., :d])
+        (lhs[..., :d] * ctx).sum(axis=-1, out=lhs[..., d])
+        rhs = np.full((n, length, d + 1), -scale)
+        np.multiply(vs, scale, out=rhs[..., :d])
+        rhs_t = rhs.swapaxes(1, 2)
+        gq, gk, gv = np.empty((3, n, length, d))
+        for s, r in tasks:
+            e = exps[s, r]
+            g = lhs[s, r] @ rhs_t[s]
+            g *= e
+            np.matmul(g, ks[s], out=gq[s, r])
+            if r.start == 0:
+                np.matmul(g.swapaxes(1, 2), qs[s, r], out=gk[s])
+                np.matmul(e.swapaxes(1, 2), lhs[s, r, :d], out=gv[s])
+            else:
+                gk[s] += g.swapaxes(1, 2) @ qs[s, r]
+                gv[s] += e.swapaxes(1, 2) @ lhs[s, r, :d]
+        for t, grad in ((q, gq), (k, gk), (v, gv)):
             if t.requires_grad:
                 t._accumulate(grad.reshape(t.shape))
 
@@ -831,8 +845,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise ShapeError(f"transpose axes {axes} is not a permutation for rank {x.data.ndim}")
-    inverse = np.argsort(axes)
-    return _op("transpose", x.data.transpose(axes), (x,), lambda g: g.transpose(inverse))
+    return _op("transpose", x.data.transpose(axes), (x,), lambda g: g.transpose(np.argsort(axes)))
 
 
 def slice_time(x: Tensor, start: int, stop: int) -> Tensor:

@@ -1,6 +1,8 @@
-"""Property tests: malformed config text, split specs and checkpoint bytes
-either work or fail with a ForecastError, never with another exception."""
+"""Property tests: malformed config text, split specs, CSV bodies and
+checkpoint bytes either work or fail with a ForecastError, never with
+another exception."""
 
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdnet.cli import RunConfig
+from fdnet.data import SplitSpec, Standardizer, load_csv, split
 from fdnet.errors import ForecastError
 from fdnet.training import load_checkpoint
 
@@ -16,6 +19,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 CHECKPOINTS = {name: (FIXTURES / name).read_bytes()
                for name in ("tiny_fdnet.ckpt", "tiny_funet.ckpt")}
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+NUMBERS = st.one_of(st.floats().map(repr), st.integers().map(str))
+
+
+def csv_rows(cells):
+    """Rows of a timestamp-like text cell and two cells drawn from `cells`; a
+    70/10/20 split of at least 10 rows leaves no piece empty."""
+    return st.lists(st.tuples(st.text(max_size=6), cells, cells).map(",".join),
+                    min_size=8, max_size=30).map("\n".join)
 
 
 def works_or_forecast_error(fn, *args):
@@ -58,6 +71,28 @@ class TestConfigText:
         cfg = RunConfig()
         cfg.split = spec
         works_or_forecast_error(lambda: cfg.split_spec().cut_points(1000))
+
+
+class TestCsvBody:
+    @FUZZ
+    @given(body=st.one_of(st.text(), st.binary(),
+                          st.builds("date,x,OT\n{}".format, csv_rows(NUMBERS)),
+                          st.builds("date,x,OT\n{}".format,
+                                    csv_rows(st.one_of(NUMBERS, st.text(max_size=6))))))
+    def test_load_split_standardize(self, scratch, body):
+        if isinstance(body, str):
+            scratch.write_text(body, encoding="utf-8")
+        else:
+            scratch.write_bytes(body)
+
+        def pipeline():
+            train, _, _ = split(load_csv(scratch, "OT"), SplitSpec.ratio())
+            Standardizer.fit(train)
+
+        # zero-variance columns and overflowing statistics warn, and are not failures
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            works_or_forecast_error(pipeline)
 
 
 class TestCheckpointBytes:

@@ -12,12 +12,17 @@ holds; its loss and predictions are bitwise the same.
 
 The comparison allows 1e-12 relative error, because another CPU's OpenBLAS
 kernels may round the last bits differently; on the machine that wrote the
-files the results are bitwise equal. Regenerate the files, after a change
-that is meant to move these numbers, with
+files the results are bitwise equal. After a change that is meant to move
+these numbers, regenerate the files of the variants it moved with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [fdnet] [funet]
+
+(no argument rewrites both). Name only the variants that moved:
+`np.savez_compressed` stamps each entry with the time it was written, so
+rewriting a file whose numbers did not change still changes its bytes.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -64,5 +69,5 @@ def test_matches_golden(variant):
 
 
 if __name__ == "__main__":
-    for name in HEADS:
+    for name in sys.argv[1:] or HEADS:
         np.savez_compressed(FIXTURES / f"golden_{name}.npz", **golden(name))

@@ -566,28 +566,69 @@ def _unfused_attention(q, k, v, scale):
     return T.matmul(T.softmax_lastdim(scores), v)
 
 
+def _attention_reference(q, k, v, scale, gy):
+    """Softmax attention's output and q, k, v gradients, in long double."""
+    q, k, v, gy = (a.astype(np.longdouble) for a in (q, k, v, gy))
+    s = q @ np.swapaxes(k, -1, -2) * scale
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    gp = gy @ np.swapaxes(v, -1, -2)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    return p @ v, gs @ k, np.swapaxes(gs, -1, -2) @ q, np.swapaxes(p, -1, -2) @ gy
+
+
+def _attention_results(op, data, weight, scale):
+    """op's output and q, k, v gradients for (N, L, h, dh) leaves seen as (N, h, L, dh)."""
+    leaves = [T.Tensor(d, requires_grad=True) for d in data]
+    q, k, v = (T.transpose(t, (0, 2, 1, 3)) for t in leaves)
+    out = op(q, k, v, scale)
+    with T.no_grad():
+        assert np.array_equal(op(q, k, v, scale).data, out.data)
+    T.tensor_sum(T.mul(out, weight)).backward()
+    return [out.data] + [np.swapaxes(t.grad, 1, 2) for t in leaves]
+
+
+def _assert_as_accurate_as_chain(data, weight, scale):
+    """The fused op's error against the long-double reference, for the output and
+    each gradient, is at most twice the unfused chain's, or 1e-14 of the array's
+    size times the largest logit's magnitude, whichever is larger.
+
+    A logit s is rounded to about eps * |s|, and softmax passes that on as a
+    relative error of the same size in every probability, so both ops' errors
+    grow with the logits. Where the probabilities are one-hot a gradient
+    vanishes, and the output's size stands in for its own.
+    """
+    q, k, v = (np.swapaxes(d, 1, 2) for d in data)
+    want = _attention_reference(q, k, v, scale, weight)
+    fused = _attention_results(T.attention_time, data, weight, scale)
+    chain = _attention_results(_unfused_attention, data, weight, scale)
+    logits = max(1.0, scale * float(np.abs(q @ np.swapaxes(k, -1, -2)).max()))
+    for name, f, c, w in zip(("out", "gq", "gk", "gv"), fused, chain, want):
+        size = max(float(np.abs(w).max()), float(np.abs(want[0]).max()))
+        err, chain_err = float(np.abs(f - w).max()), float(np.abs(c - w).max())
+        assert err <= max(2 * chain_err, 1e-14 * logits * size), (name, err, chain_err)
+
+
 class TestAttentionTime:
     @pytest.mark.parametrize("heads", [1, 2])
-    def test_bitwise_equal_to_unfused_chain(self, heads):
-        # (N, L, h, dh) leaves viewed as (N, h, L, dh), the layout attention
-        # uses. With 512 KiB blocks, (3, 7) is one block, L = 600 puts one
-        # sequence in each block, and L = 128 puts four in each, so 5 or 10
-        # sequences end in a partial block.
+    def test_as_accurate_as_unfused_chain(self, heads):
+        # With 512 KiB of scores per task, (3, 7) is one task, L = 600 walks each
+        # sequence in rows of 109 (the last 55 rows a partial chunk), and L = 128
+        # puts four sequences in a task, so 5 or 10 sequences end in a partial one.
         dh = 4
         for n, length in ((3, 7), (2, 600), (5, 128)):
             data = [rand((n, length, heads, dh), seed, scale=2.0) for seed in (70, 71, 72)]
             weight = rand((n, heads, length, dh), 73)
-            results = []
-            for op in (T.attention_time, _unfused_attention):
-                leaves = [T.Tensor(d, requires_grad=True) for d in data]
-                q, k, v = (T.transpose(t, (0, 2, 1, 3)) for t in leaves)
-                out = op(q, k, v, 1.0 / math.sqrt(dh))
-                with T.no_grad():
-                    assert np.array_equal(op(q, k, v, 1.0 / math.sqrt(dh)).data, out.data)
-                T.tensor_sum(T.mul(out, weight)).backward()
-                results.append([out.data] + [t.grad for t in leaves])
-            for fused, unfused in zip(*results):
-                assert np.array_equal(fused, unfused), (n, length)
+            _assert_as_accurate_as_chain(data, weight, 1.0 / math.sqrt(dh))
+
+    @settings(ORACLE, max_examples=40)
+    @given(n=st.integers(1, 3), length=st.integers(1, 700), dh=st.integers(1, 8),
+           size=st.sampled_from([0.1, 1.0, 5.0, 20.0]), scale=st.floats(0.05, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_long_double_reference(self, n, length, dh, size, scale, seed):
+        rng = np.random.default_rng(seed)
+        data = [rng.normal(size=(n, length, 1, dh)) * size for _ in range(3)]
+        _assert_as_accurate_as_chain(data, rng.normal(size=(n, 1, length, dh)), scale)
 
     def test_no_grad_allocates_one_block(self):
         n, length, d = 8, 512, 8
