@@ -20,6 +20,7 @@ from .errors import (
     InsufficientDataError,
     InvalidParameterError,
     InvalidSplitError,
+    NumericError,
     SchemaError,
 )
 
@@ -218,8 +219,14 @@ class Standardizer:
 
     @staticmethod
     def fit(train: TimeSeriesFrame) -> "Standardizer":
-        mean = train.values.mean(axis=0)
-        std = train.values.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+            mean = train.values.mean(axis=0)
+            std = train.values.std(axis=0)
+        overflow = ~(np.isfinite(mean) & np.isfinite(std))
+        if overflow.any():
+            names = [train.columns[i] for i in np.flatnonzero(overflow)]
+            raise NumericError(f"columns {names} have a mean or standard deviation "
+                               f"beyond float64's range")
         degenerate = std == 0.0
         if degenerate.any():
             names = [train.columns[i] for i in np.flatnonzero(degenerate)]

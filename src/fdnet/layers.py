@@ -105,32 +105,22 @@ class WeightNormConv(Module):
                              stride_t=self.stride_t, pad_t=self.pad_t)
 
 
-class PlainConv(Module):
-    """Un-normalized 1x1 time convolution (embeddings and projection heads)."""
-
-    def __init__(self, cin: int, cout: int, *, rng: np.random.Generator):
-        self.weight = Tensor(kaiming_uniform(rng, (cout, cin, 1, 1), fan_in=cin),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(cout), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d_time(x, self.weight, self.bias, stride_t=1, pad_t=0)
-
-
-class ValueEmbedding(PlainConv):
-    """Scalar-to-D-channel affine map: a 1x1 conv on (B,1,L,V).
+class ValueEmbedding(Module):
+    """Scalar-to-D-channel affine map: an un-normalized 1x1 conv on (B,1,L,V).
 
     No cross-time or cross-variate mixing; each (t, v) element is embedded
     independently.
     """
 
     def __init__(self, embed_dim: int, *, rng: np.random.Generator):
-        super().__init__(1, embed_dim, rng=rng)
+        self.weight = Tensor(kaiming_uniform(rng, (embed_dim, 1, 1, 1), fan_in=1),
+                             requires_grad=True)
+        self.bias = Tensor(np.zeros(embed_dim), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.data.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"value embedding expects (B, 1, L, V), got {x.shape}")
-        return super().forward(x)
+        return T.conv2d_time(x, self.weight, self.bias)
 
 
 class LinearHead(Module):

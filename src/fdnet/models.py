@@ -230,8 +230,8 @@ class _FocalModel(Module):
 
     variant = ""
 
-    def __init__(self, plan: FocalPlan, embed_dim: int = 8, l_out: int = 96,
-                 seed: int = 4321, heads: int = 1, dropout_p: float = 0.1):
+    def __init__(self, plan: FocalPlan, embed_dim: int, l_out: int, seed: int, heads: int,
+                 dropout_p: float):
         if plan.variant != self.variant:
             raise ShapeError(f"plan variant {plan.variant!r} does not fit {self.variant!r}")
         self.plan = plan
@@ -261,6 +261,7 @@ class _FocalModel(Module):
 
     @property
     def config(self) -> dict:
+        """The settings that rebuild this model through `model_from_config`."""
         return {
             "variant": self.variant,
             "l_in": self.plan.l_in,
@@ -300,7 +301,7 @@ class _FocalModel(Module):
         self._check_input(x)
         batch, _, l_in, variates = x.shape
         large = batch * l_in * variates * self.embed_dim >= PARALLEL_MIN_ELEMENTS
-        grad_enabled = T._state.get()[0]
+        grad_enabled = T._state.get().grad
         if mode == "eval":
             halves = not grad_enabled
         else:
@@ -377,5 +378,14 @@ def build_model(variant: str, l_in: int, l_out: int, f: int, alpha: float,
     if not 0.0 <= dropout_p < 1.0:
         raise InvalidParameterError(f"dropout must lie in [0, 1), got {dropout_p}")
     cls = FDNetModel if variant == "fdnet" else FUNetModel
-    return cls(plan, embed_dim=embed_dim, l_out=l_out, seed=seed, heads=heads,
-               dropout_p=dropout_p)
+    return cls(plan, embed_dim, l_out, seed, heads, dropout_p)
+
+
+def model_from_config(config) -> _FocalModel:
+    """`build_model` from `_FocalModel.config`'s keys, which `fdnet.cli.RunConfig` shares.
+
+    Configs saved before `heads` and `dropout` were stored get 1 and 0.1.
+    """
+    return build_model(config["variant"], config["l_in"], config["l_out"], config["f"],
+                       config["alpha"], config["n_layers"], config["embed_dim"],
+                       config["seed"], config.get("heads", 1), config.get("dropout", 0.1))

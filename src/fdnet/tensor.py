@@ -1,21 +1,24 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The operation set is exactly what the forecasting models need: elementwise
-arithmetic with bias-style broadcasting, matmul, time-axis 2D convolution and
-max-pooling that never mix variates, weight normalization as one op, GELU,
-dropout, softmax, fused scaled dot-product attention that walks its (L, L)
-scores in cache-sized tasks (a few sequences, or rows of one) and keeps
-unnormalised exponentials and row sums, not probabilities, for backward,
-and the shape ops (reshape/transpose/slice/concat/sum/sqrt) required to
-wire them together. GELU and dropout work their temporaries in place and,
-like the fused conv, maxpool and weight norm, round exactly as the plain
-numpy expressions they replace; attention does not (see `attention_time`).
+The models, the loss and training use elementwise arithmetic with
+bias-style broadcasting, matmul, time-axis 2D convolution and max-pooling
+that never mix variates, weight normalization as one op, GELU, dropout,
+fused scaled dot-product attention that walks its (L, L) scores in
+cache-sized tasks (a few sequences, or rows of one) and keeps unnormalised
+exponentials and row sums, not probabilities, for backward, and the shape
+ops (reshape/transpose/slice/concat/sum) that wire them together. Four ops
+no model calls: `neg`, `div`, `sqrt` and `softmax_lastdim`; only the
+gradient suite (`fdnet.verification`) and the benchmark's op map use them.
+GELU and dropout work their temporaries in place and, like the fused conv,
+maxpool and weight norm, round exactly as the plain numpy expressions they
+replace; attention does not (see `attention_time`).
 
 Graph representation: every op makes its output with `_op`, from one gradient
 function per parent (or one shared `backward(g)`, for `weight_norm` and
-`attention_time`). In grad mode, with a parent requiring grad, `_op` records
-the output as a graph node holding its parents and a backward closure built
-only then. `Tensor.backward()` topologically sorts the reachable subgraph and
+`attention_time`). Each op builds those functions on every call. In grad
+mode, with a parent requiring grad, `_op` records the output as a graph node
+holding its parents and a backward closure over them, built only then.
+`Tensor.backward()` topologically sorts the reachable subgraph and
 accumulates gradients into `.grad`. Object identity is the node handle.
 Backward frees the graph as it goes: each node drops its closure, parents and
 gradient once its closure has run, so every activation is released as soon as
@@ -36,10 +39,11 @@ the trunk. It alone decides who gets the helper: one call at a time, under a
 lock it tries once without waiting. Other callers, nested calls and
 processes that can use one CPU run both functions serially on the calling
 thread. A model forward that ran its branch groups or batch halves on the
-helper gets a backward on the same two threads: the trunk runs first, then
-each lane's nodes on their own thread. Backward does this only when every
-node's gradient still accumulates in serial pop order (see
-`Tensor.backward`), so gradients are bitwise those of the one-thread pass.
+helper (`fdnet.models` says when a forward splits) gets a backward on the
+same two threads: the trunk runs first, then each lane's nodes on their own
+thread. Backward does this only when every node's gradient still accumulates
+in serial pop order (see `Tensor.backward`), so gradients are bitwise those
+of the one-thread pass.
 A batch half that reads twin leaves (`Tensor.twin`) instead of the
 parameters keeps the two lanes' leaves apart, and one that draws its dropout
 masks from `TailGenerator` copies keeps their generators apart.
@@ -56,6 +60,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import copy
+import dataclasses
 import ctypes
 import functools
 import glob
@@ -102,21 +107,32 @@ DIFFERENTIABLE_OPS = (
     "sqrt",
 )
 
-# (grad enabled, hooks, lane) of the current context; only no_grad, op_hook
-# and _run_two set it. Lane 0 is the caller; _run_two's two functions run in
-# lanes 1 and 2.
-_state = contextvars.ContextVar("fdnet_tensor_state", default=(True, (), 0))
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _State:
+    """What ops read from the current context; only `_scoped` changes it."""
+
+    grad: bool = True  # record graphs (off inside no_grad)
+    hooks: tuple = ()  # op_hook functions, outermost first
+    lane: int = 0  # 0 for the caller; _run_two's two functions run in lanes 1 and 2
+
+
+_state = contextvars.ContextVar("fdnet_tensor_state", default=_State())
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable graph construction inside the block (eval-mode speed-up)."""
-    _, hooks, lane = _state.get()
-    token = _state.set((False, hooks, lane))
+def _scoped(**fields):
+    """Set `fields` of the current context's state for the block, then restore it."""
+    token = _state.set(dataclasses.replace(_state.get(), **fields))
     try:
         yield
     finally:
         _state.reset(token)
+
+
+def no_grad():
+    """Disable graph construction inside the block (eval-mode speed-up)."""
+    return _scoped(grad=False)
 
 
 @contextlib.contextmanager
@@ -124,21 +140,14 @@ def op_hook(fn: Callable[[Tensor], None]):
     """Call `fn(out)` with the output of every op run inside the block.
 
     A hook may read `out._op` and wrap `out._backward` (None when no graph
-    was recorded for the op). Hooks run in the order they were entered.
-    A model forward that splits its batch (see `fdnet.models`: a no-grad
-    eval forward, and a train forward of a model whose largest branch
-    outweighs the rest) runs each op once per half, with half-batch shapes,
-    then joins the halves' outputs with `concat`, so a hook sees both
-    halves' ops and the joins. They come from two threads only when that
-    forward's `_run_two` got the helper thread; otherwise all come from the
-    calling thread.
+    was recorded for the op). Hooks run in the order they were entered. A
+    model forward that splits its batch (see `fdnet.models`) runs each op
+    once per half and joins the halves with `concat`, so a hook sees both
+    halves' ops and the joins, from two threads only when that forward's
+    `_run_two` got the helper thread.
     """
-    grad_enabled, hooks, lane = _state.get()
-    token = _state.set((grad_enabled, hooks + (fn,), lane))
-    try:
+    with _scoped(hooks=_state.get().hooks + (fn,)):
         yield
-    finally:
-        _state.reset(token)
 
 
 @functools.cache
@@ -194,12 +203,8 @@ if hasattr(os, "register_at_fork"):
 
 
 def _in_lane(lane: int, fn: Callable[[], object]):
-    grad_enabled, hooks, _ = _state.get()
-    token = _state.set((grad_enabled, hooks, lane))
-    try:
+    with _scoped(lane=lane):
         return fn()
-    finally:
-        _state.reset(token)
 
 
 def _run_two(fn_a: Callable[[], object], fn_b: Callable[[], object]) -> tuple:
@@ -288,7 +293,7 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self, params: Sequence["Tensor"] | None = None):
+    def backward(self):
         """Reverse-mode pass from this scalar; populates `.grad` on leaves.
 
         Nodes run newest first. Once a node's closure has run, the node
@@ -309,9 +314,6 @@ class Tensor:
 
         Twin leaves (see `twin`) then add their gradients into the tensors
         they twin, in topological order.
-
-        If `params` is given, every listed tensor is guaranteed a gradient
-        buffer afterward (zeros when it does not contribute to the loss).
         """
         if self.data.size != 1:
             raise InvalidArgumentError(
@@ -336,10 +338,6 @@ class Tensor:
             if twin.grad is not None:
                 twin._twin_of._accumulate(twin.grad)
                 twin.grad = None
-        if params is not None:
-            for p in params:
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -431,8 +429,8 @@ def _op(op: str, data, parents: tuple[Tensor, ...], *grad_fns, backward=None) ->
     """
     out = Tensor(data)
     out._op = op
-    grad_enabled, hooks, lane = _state.get()
-    if grad_enabled and any(p.requires_grad for p in parents):
+    state = _state.get()
+    if state.grad and any(p.requires_grad for p in parents):
         # default arguments, not closure cells: _op would make the cells on every call
         if backward is None:
             def backward(g, parents=parents, grad_fns=grad_fns):
@@ -443,8 +441,8 @@ def _op(op: str, data, parents: tuple[Tensor, ...], *grad_fns, backward=None) ->
         out._parents = parents
         # a weak reference, so that no node is in a reference cycle
         out._backward = lambda ref=weakref.ref(out), backward=backward: backward(ref().grad)
-        out._lane = lane
-    for hook in hooks:
+        out._lane = state.lane
+    for hook in state.hooks:
         hook(out)
     return out
 
@@ -791,7 +789,7 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     tasks = [(slice(i, min(i + seqs, n)), slice(j, min(j + rows, length)))
              for i in range(0, n, seqs) for j in range(0, length, rows)]
     qs, ks, vs = (t.data.reshape(n, length, d) for t in (q, k, v))
-    keep = _state.get()[0] and (q.requires_grad or k.requires_grad or v.requires_grad)
+    keep = _state.get().grad and (q.requires_grad or k.requires_grad or v.requires_grad)
     exps = np.empty((n, length, length) if keep else (min(seqs, n), min(rows, length), length))
     sums, ctx = np.empty((n, length, 1)), np.empty((n, length, d))
     q_scaled, k_t = qs * scale, ks.swapaxes(1, 2)
@@ -947,20 +945,16 @@ def gradients(loss: Tensor, params: Iterable[Tensor]) -> list[np.ndarray]:
     params = list(params)
     for p in params:
         p.zero_grad()
-    loss.backward(params=params)
-    return [p.grad for p in params]
+    loss.backward()
+    return [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
 
 
-def grad_check(
-    f: Callable[[], Tensor],
-    points: Sequence[Tensor] | Tensor,
-    h: float = 1e-5,
-) -> float:
+def grad_check(f: Callable[[], Tensor], points: Sequence[Tensor] | Tensor) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     `f` must rebuild a scalar loss from the current `.data` of `points` on
-    every call. The relative error per coordinate is
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    every call. Differences step each coordinate by h = 1e-5. The relative
+    error per coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
     if isinstance(points, Tensor):
         points = [points]
@@ -976,6 +970,7 @@ def grad_check(
         raise NumericError("grad_check: non-finite loss at evaluation point")
     analytic = [g.copy() for g in gradients(loss, points)]
 
+    h = 1e-5
     worst = 0.0
     for p, ga in zip(points, analytic):
         flat = p.data.reshape(-1)

@@ -33,7 +33,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .models import build_model
+from .models import model_from_config
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"FDNETCK1"
@@ -58,14 +58,15 @@ def lr_for_epoch(base_lr: float, epoch: int) -> float:
 
 
 class Adam:
-    """Adam with bias correction; moments live alongside the parameters."""
+    """Adam with bias correction; moments live alongside the parameters.
 
-    def __init__(self, params: list[Tensor], beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    A parameter off the loss path (`.grad` None) steps with a zero gradient.
+    """
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor]):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -120,12 +121,12 @@ class TrainResult:
     steps: int = 0
 
 
-def evaluate_mse(model, windows: WindowSampler, batch_size: int = 64) -> float:
-    """Eval-mode MSE over all windows, accumulated in window order."""
+def evaluate_mse(model, windows: WindowSampler) -> float:
+    """Eval-mode MSE over all windows, in batches of 64, accumulated in window order."""
     total_sq = 0.0
     count = 0
     with T.no_grad():
-        for xb, yb in windows.batches(batch_size):
+        for xb, yb in windows.batches(64):
             pred, _ = model.forward(Tensor(xb), "eval")
             total_sq += float(((pred.data - yb) ** 2).sum())
             count += yb.size
@@ -165,7 +166,7 @@ def train(model, train_windows: WindowSampler, val_windows: WindowSampler,
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {result.steps}"
                 )
-            loss.backward(params=params)
+            loss.backward()
             optimizer.step(lr)
             result.steps += 1
 
@@ -266,18 +267,7 @@ def load_checkpoint(path) -> Checkpoint:
         except (KeyError, TypeError):
             raise CorruptCheckpointError("config blob lacks 'config' or 'meta'") from None
         try:
-            model = build_model(
-                variant=config["variant"],
-                l_in=config["l_in"],
-                l_out=config["l_out"],
-                f=config["f"],
-                alpha=config["alpha"],
-                n_layers=config["n_layers"],
-                embed_dim=config["embed_dim"],
-                seed=config["seed"],
-                heads=config.get("heads", 1),
-                dropout_p=config.get("dropout", 0.1),
-            )
+            model = model_from_config(config)
             stored_plan = (config["plan_lengths"], config["plan_depths"])
         except (KeyError, TypeError, ValueError, ArithmeticError, ForecastError) as exc:
             raise CorruptCheckpointError(f"unusable checkpoint config: {exc!r}") from None

@@ -29,15 +29,14 @@ class CheckResult:
     name: str
     ops: tuple[str, ...]
     error: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.error < self.tolerance
+        return self.error < DEFAULT_TOLERANCE
 
 
-def _rand(shape, seed, scale=1.0):
-    return np.random.default_rng(seed).normal(size=shape) * scale
+def _rand(shape, seed):
+    return np.random.default_rng(seed).normal(size=shape)
 
 
 def _sq_sum(t: Tensor) -> Tensor:
@@ -212,9 +211,8 @@ def _corrupting(op_name: str):
     return hook
 
 
-def run_gradient_checks(corrupt_op: str | None = None,
-                        tolerance: float = DEFAULT_TOLERANCE) -> list[CheckResult]:
-    """Run every check; with `corrupt_op`, checks covering it should fail.
+def run_gradient_checks(corrupt_op: str | None = None) -> list[CheckResult]:
+    """Run every check at DEFAULT_TOLERANCE; with `corrupt_op`, checks covering it should fail.
 
     Each result reports the ops actually recorded during its run (traced),
     so coverage statements cannot drift from the implementations.
@@ -225,6 +223,5 @@ def run_gradient_checks(corrupt_op: str | None = None,
             traced: set[str] = set()
             with T.op_hook(lambda out: traced.add(out._op)):
                 error = float(fn())
-            results.append(CheckResult(name=name, ops=tuple(sorted(traced)), error=error,
-                                       tolerance=tolerance))
+            results.append(CheckResult(name=name, ops=tuple(sorted(traced)), error=error))
     return results

@@ -14,6 +14,7 @@ from fdnet.errors import (
     InsufficientDataError,
     InvalidParameterError,
     InvalidSplitError,
+    NumericError,
     SchemaError,
 )
 
@@ -144,6 +145,13 @@ class TestStandardizer:
         z = std.transform_values(values)
         assert np.all(z[:, 0] == 0.0)
         assert np.isfinite(z).all()
+
+    @pytest.mark.parametrize("column", [[1e300, -1e300, 3.0], [1e308, 1e308, 1e308]],
+                             ids=["std_overflows", "mean_overflows"])
+    def test_overflowing_statistics_rejected(self, column):
+        values = np.column_stack([np.arange(3.0), column])
+        with pytest.raises(NumericError, match="'c1'"):
+            Standardizer.fit(frame_from(values))
 
     def test_no_test_leakage(self):
         values = np.random.default_rng(3).normal(size=(100, 2))

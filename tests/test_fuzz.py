@@ -6,6 +6,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,9 +88,11 @@ class TestCsvBody:
 
         def pipeline():
             train, _, _ = split(load_csv(scratch, "OT"), SplitSpec.ratio())
-            Standardizer.fit(train)
+            fitted = Standardizer.fit(train)
+            assert np.isfinite(fitted.mean).all() and np.isfinite(fitted.std).all()
 
-        # zero-variance columns and overflowing statistics warn, and are not failures
+        # zero-variance columns warn, and are not failures; overflowing
+        # statistics raise NumericError
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             works_or_forecast_error(pipeline)

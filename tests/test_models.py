@@ -365,7 +365,7 @@ def serial_run(model, x, mode):
 
 def train_grads(model, pred):
     params = model.parameters()
-    T.tensor_sum(T.mul(pred, pred)).backward(params)
+    T.tensor_sum(T.mul(pred, pred)).backward()
     return [p.grad for p in params]
 
 
@@ -848,7 +848,7 @@ class TestBackwardThreads:
                 pred = model.forward(x, "train")[0]
             loss = T.tensor_sum(T.mul(pred, pred))
             del pred
-            loss.backward(model.parameters())
+            loss.backward()
             alive = [r for r in refs if r() is not None]
         finally:
             if was_enabled:

@@ -116,7 +116,7 @@ class TestGraphRelease:
                     stack.extend(node._parents)
             del pred, branch_preds, stack, node
             assert len(refs) > 50
-            loss.backward(params=model.parameters())
+            loss.backward()
             alive = [r for r in refs if r() is not None]
         finally:
             if was_enabled:
@@ -341,6 +341,26 @@ class TestCheckpoint:
         with T.no_grad():
             after = load_checkpoint(path).model.forward(x, "eval")[0].data
         assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("variant", ["fdnet", "funet"])
+    def test_config_without_heads_and_dropout_loads_their_defaults(self, tmp_path, variant):
+        # as written before the config blob stored `heads` and `dropout`
+        model, std = self.make_trained(variant)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, model, std)
+        data = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", data, 12)
+        payload = json.loads(data[16 : 16 + blob_len])
+        del payload["config"]["heads"], payload["config"]["dropout"]
+        blob = json.dumps(payload).encode()
+        path.write_bytes(data[:12] + struct.pack("<I", len(blob)) + blob + data[16 + blob_len :])
+        loaded = load_checkpoint(path).model
+        assert (loaded.heads, loaded.dropout_p) == (1, 0.1)
+        x = Tensor(np.random.default_rng(2).normal(size=(2, 1, 16, 2)))
+        for mode in ("eval", "train"):  # train mode draws dropout masks at p = 0.1
+            with T.no_grad():
+                direct, rebuilt = (m.forward(x, mode)[0].data for m in (model, loaded))
+            assert np.array_equal(direct, rebuilt)
 
     @pytest.mark.parametrize("name", ["tiny_fdnet.ckpt", "tiny_funet.ckpt"])
     def test_fixture_resaves_byte_identical(self, tmp_path, name):
