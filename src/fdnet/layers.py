@@ -126,8 +126,8 @@ class ValueEmbedding(Module):
 class LinearHead(Module):
     """Per-variate linear projection with weights shared across variates.
 
-    y[b, :, v] = weight @ features[b, :, v] + bias, realized as a 1x1 conv
-    over the feature channel.
+    y[b, :, v] = weight @ features[b, :, v] + bias, as one GEMM over every
+    (window, variate) row: (B*V, in) @ weight^T, plus the bias.
     """
 
     def __init__(self, in_len: int, out_len: int, *, rng: np.random.Generator):
@@ -143,10 +143,9 @@ class LinearHead(Module):
                 f"linear head expects (B, {self.in_len}, V), got {features.shape}"
             )
         batch, _, variates = features.shape
-        x4 = T.reshape(features, (batch, self.in_len, 1, variates))
-        w4 = T.reshape(self.weight, (self.out_len, self.in_len, 1, 1))
-        y4 = T.conv2d_time(x4, w4, self.bias, stride_t=1, pad_t=0)
-        return T.reshape(y4, (batch, self.out_len, variates))
+        rows = T.reshape(T.transpose(features, (0, 2, 1)), (batch * variates, self.in_len))
+        y = T.add(T.matmul(rows, T.transpose(self.weight, (1, 0))), self.bias)
+        return T.transpose(T.reshape(y, (batch, variates, self.out_len)), (0, 2, 1))
 
 
 class MultiHeadAttention(Module):

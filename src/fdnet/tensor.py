@@ -9,9 +9,11 @@ exponentials and row sums, not probabilities, for backward, and the shape
 ops (reshape/transpose/slice/concat/sum) that wire them together. Four ops
 no model calls: `neg`, `div`, `sqrt` and `softmax_lastdim`; only the
 gradient suite (`fdnet.verification`) and the benchmark's op map use them.
-GELU and dropout work their temporaries in place and, like the fused conv,
-maxpool and weight norm, round exactly as the plain numpy expressions they
-replace; attention does not (see `attention_time`).
+GELU and dropout work their temporaries in place and, like maxpool and
+weight norm, round exactly as the plain numpy expressions they replace; the
+conv makes one GEMM per window, whose sums may round apart from one GEMM
+over all windows (see `conv2d_time`), and attention does not round as its
+unfused chain (see `attention_time`).
 
 Graph representation: every op makes its output with `_op`, from one gradient
 function per parent (or one shared `backward(g)`, for `weight_norm` and
@@ -523,6 +525,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
 
+# Bytes of float64 work that conv2d_time and attention_time handle at once.
+# conv2d_time fills and multiplies the im2col columns of as many whole
+# windows as fit (at least one; one at L = 336 with Cin*k = 24). attention_time
+# takes (L, L) scores of as many whole sequences as fit or, past L = 256,
+# BLOCK_BYTES // (8 L) rows of one (195 at FUNet branch0's L = 336); a
+# backward task holds two such buffers (E and the score gradient). At this
+# size they stay near one core's 2 MiB L2 cache on the 2-vCPU Xeon the
+# benchmark runs on, so each pass reads cache, not DRAM. For attention, of
+# 0.125-4 MiB, 0.25-1 MiB measured fastest there at L = 84-336, 4 MiB and
+# the whole array slowest.
+BLOCK_BYTES = 512 * 1024
+
+
 def _conv_out_len(length: int, k: int, stride_t: int, pad_t: int, op: str) -> int:
     out_len = (length + 2 * pad_t - k) // stride_t + 1
     if out_len < 1:
@@ -555,26 +570,27 @@ def conv2d_time(
     variate v depends on input at variate v alone. Time padding is zeros;
     L' = floor((L + 2*pad_t - k) / stride_t) + 1.
 
-    The input is copied once, time-major and zero-padded, to xt (B, Lp, V,
-    Cin); the im2col rows (B, L', V, Cin, k) are k strided slices of xt (xt
-    itself when k = 1 and stride 1). One GEMM makes every output, and its
-    transpose plus the bias is written into the output in one pass. Backward
-    runs one GEMM for the weight gradient and one product per tap for the
-    input gradient. Only plain copies surround these products, and each gets
-    the operands that the np.pad + sliding_window_view + einsum formulation
-    gives it, so outputs and gradients are bitwise the same as that
-    formulation's (tests/test_tensor.py keeps it as an oracle).
+    It works in the (B, C, L, V) layout throughout, and no copy transposes
+    the innermost axis. A window's im2col columns are (Cin*k, L'*V), each row
+    a whole (L', V) plane: the input itself for k = 1, stride 1 and no
+    padding, otherwise k strided plane slices of a copy of the input
+    zero-padded along L. One GEMM per window, W (Cout, Cin*k) @ columns,
+    lands in the output layout, and the bias is added in place. Backward
+    adds W_i^T @ gy per tap i into the zero-padded input gradient, and takes
+    the weight gradient as one GEMM per window over its columns, summed over
+    windows. tests/test_tensor.py holds outputs and gradients to the bits of
+    an np.pad + sliding_window_view reference with the same products, and
+    within 1e-14 of the earlier one-GEMM rows @ W^T formulation.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
-    k = weight.shape[2] if weight.data.ndim == 4 else -1
-    _check_conv_geometry(x, k, stride_t, pad_t, "conv2d_time")
     if weight.data.ndim != 4 or weight.shape[3] != 1:
         raise ShapeError(f"conv2d_time weight must be (Cout, Cin, k, 1), got {weight.shape}")
+    cout, _, k, _ = weight.shape
+    _check_conv_geometry(x, k, stride_t, pad_t, "conv2d_time")
     if weight.shape[1] != x.shape[1]:
         raise ShapeError(
             f"conv2d_time channel mismatch: input {x.shape[1]}, weight {weight.shape[1]}"
         )
-    cout = weight.shape[0]
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (cout,):
@@ -582,51 +598,52 @@ def conv2d_time(
     batch, cin, length, variates = x.shape
     out_len = _conv_out_len(length, k, stride_t, pad_t, "conv2d_time")
     span = stride_t * (out_len - 1) + 1  # time steps from a tap's first to last read
-
-    xt = np.empty((batch, length + 2 * pad_t, variates, cin))
-    xt[:, :pad_t] = 0.0
-    xt[:, pad_t + length:] = 0.0
-    xt[:, pad_t : pad_t + length] = x.data.transpose(0, 2, 3, 1)
-    if k == 1 and stride_t == 1:
-        rows = xt
-    else:
-        rows = np.empty((batch, out_len, variates, cin, k))
-        for i in range(k):
-            rows[..., i] = xt[:, i : i + span : stride_t]
-    # GEMM with one row per (b, t, v) element: every output element reduces
-    # over (c, k) in the same fixed order, so permuting variates permutes
-    # output columns bitwise.
-    rows2d = rows.reshape(batch * out_len * variates, cin * k)
+    padded = (batch, cin, length + 2 * pad_t, variates)
+    pointwise = k == 1 and stride_t == 1 and pad_t == 0
     w2d = weight.data.reshape(cout, cin * k)
-    y = (rows2d @ w2d.T).reshape(batch, out_len, variates, cout).transpose(0, 3, 1, 2)
+    n_cols = out_len * variates
+    if pointwise:
+        # C order, so that every input layout gets the same GEMM operands
+        cols = np.ascontiguousarray(x.data).reshape(batch, cin, n_cols)
+        out_data = np.matmul(w2d, cols)
+    else:
+        # Windows go in chunks of about BLOCK_BYTES of columns, so a chunk's
+        # columns are still in cache when its GEMM reads them. Only the
+        # weight gradient reads them again; without it one chunk is reused.
+        keep = _state.get().grad and weight.requires_grad
+        chunk = min(batch, max(1, BLOCK_BYTES // (8 * cin * k * n_cols)))
+        xp = np.zeros((chunk,) + padded[1:])
+        cols = np.empty((batch if keep else chunk, cin * k, n_cols))
+        out_data = np.empty((batch, cout, n_cols))
+        for start in range(0, batch, chunk):
+            stop = min(start + chunk, batch)
+            xp[: stop - start, :, pad_t : pad_t + length] = x.data[start:stop]
+            window_cols = cols[start:stop] if keep else cols[: stop - start]
+            planes = window_cols.reshape(stop - start, cin, k, out_len, variates)
+            for i in range(k):
+                planes[:, :, i] = xp[: stop - start, :, i : i + span : stride_t]
+            np.matmul(w2d, window_cols, out=out_data[start:stop])
+    if bias is not None:
+        out_data += bias.data[:, np.newaxis]
 
     def grad_x(gy):
-        # Tap i's input gradient is the product that
-        # np.einsum("botv,oc->bctv", gy, tap_i) runs: the tap's (Cin, Cout)
-        # transpose times gy as (Cout, B*L'*V), a view where numpy can
-        # merge those axes and a copy otherwise. A contiguous tap keeps
-        # the product on BLAS with bitwise the same sums; only a
-        # matrix-vector product (one column, Cin > 1) needs einsum's
-        # strided tap, which numpy multiplies in its own loop.
-        gy_cols = gy.transpose(1, 0, 2, 3).reshape(cout, -1)
-        strided = gy_cols.shape[1] == 1 and cin > 1
-        gxp = np.zeros((batch, cin, length + 2 * pad_t, variates))
+        gy = np.ascontiguousarray(gy).reshape(batch, cout, n_cols)
+        taps = np.ascontiguousarray(weight.data[:, :, :, 0].transpose(2, 1, 0))  # W_i^T
+        if pointwise:
+            return (taps[0] @ gy).reshape(x.shape)
+        gxp = np.zeros(padded)
         for i in range(k):
-            tap = weight.data[:, :, i, 0]
-            tap_t = tap.T if strided else np.ascontiguousarray(tap).T
-            contrib = (tap_t @ gy_cols).reshape(cin, batch, out_len, variates)
-            gxp[:, :, i : i + span : stride_t, :] += contrib.transpose(1, 0, 2, 3)
-        return gxp[:, :, pad_t : pad_t + length, :]
+            gxp[:, :, i : i + span : stride_t] += (taps[i] @ gy).reshape(
+                batch, cin, out_len, variates)
+        return gxp[:, :, pad_t : pad_t + length]
 
     def grad_weight(gy):
-        gy_rows = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(-1, cout)
-        return (gy_rows.T @ rows2d).reshape(cout, cin, k, 1)
+        gy = np.ascontiguousarray(gy).reshape(batch, cout, n_cols)
+        return np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
 
-    out_data = np.empty((batch, cout, out_len, variates))
+    out_data = out_data.reshape(batch, cout, out_len, variates)
     if bias is None:
-        out_data[...] = y
         return _op("conv2d_time", out_data, (x, weight), grad_x, grad_weight)
-    np.add(y, bias.data.reshape(1, cout, 1, 1), out=out_data)
     return _op("conv2d_time", out_data, (x, weight, bias), grad_x, grad_weight,
                lambda gy: gy.sum(axis=(0, 2, 3)))
 
@@ -635,10 +652,13 @@ def maxpool_time(x: Tensor, k: int = 3, stride_t: int = 2, pad_t: int = 1) -> Te
     """Max-pool along time: (B,C,L,V) -> (B,C,L',V) with -inf padding.
 
     Same output-length rule as conv2d_time; pad_t may be at most k // 2, as
-    in PyTorch, so that every window holds an input step. Windows are a
-    strided view (B, C, L', V, k) of one -inf-padded copy of the input.
-    Backward routes the gradient to the argmax position of each window,
-    first occurrence on ties.
+    in PyTorch, so that every window holds an input step. Taps are strided
+    slices of one -inf-padded copy of the input. Each window picks what
+    argmax picks, the first NaN or else the first maximum: a later tap wins
+    only where it is greater than the running maximum, or NaN over a number.
+    The output is gathered from the picked elements, so it has their bits
+    (-0.0 before 0.0 stays -0.0). Backward sums the gradient into the picked
+    positions with np.bincount, in window order as np.add.at did.
     """
     x = _as_tensor(x)
     _check_conv_geometry(x, k, stride_t, pad_t, "maxpool_time")
@@ -649,26 +669,34 @@ def maxpool_time(x: Tensor, k: int = 3, stride_t: int = 2, pad_t: int = 1) -> Te
         )
     batch, channels, length, variates = x.shape
     out_len = _conv_out_len(length, k, stride_t, pad_t, "maxpool_time")
+    span = stride_t * (out_len - 1) + 1
+    padded = (batch, channels, length + 2 * pad_t, variates)
 
-    xp = np.empty((batch, channels, length + 2 * pad_t, variates))
+    xp = np.empty(padded)
     xp[:, :, :pad_t] = -np.inf
     xp[:, :, pad_t + length:] = -np.inf
     xp[:, :, pad_t : pad_t + length] = x.data
-    sb, sc, st, sv = xp.strides
-    windows = np.ndarray((batch, channels, out_len, variates, k), buffer=xp,
-                         strides=(sb, sc, st * stride_t, sv, st))
-    argmax = windows.argmax(axis=-1)
+    running = xp[:, :, 0:span:stride_t]
+    pick = np.zeros(running.shape, np.int8)
+    for i in range(1, k):
+        tap = xp[:, :, i : i + span : stride_t]
+        take = np.less_equal(tap, running)
+        np.logical_not(take, out=take)  # tap greater, or either one NaN,
+        take &= running == running  # but a NaN already picked stays
+        pick += take * (np.int8(i) - pick)  # i where take
+        # compares as the pick does; it may differ from the pick only in a
+        # zero's sign or a NaN's payload, which no comparison sees
+        running = np.maximum(running, tap)
+    # each window's pick as a flat position in xp
+    index = pick * np.intp(variates)
+    index += np.arange(batch * channels).reshape(batch, channels, 1, 1) * (padded[2] * variates)
+    index += np.arange(out_len)[:, np.newaxis] * (stride_t * variates) + np.arange(variates)
 
     def grad_x(gy):
-        gxp = np.zeros((batch, channels, length + 2 * pad_t, variates))
-        # broadcast indices visit windows in the same C order as full ones
-        b_idx, c_idx, t_idx, v_idx = np.indices(gy.shape, sparse=True)
-        np.add.at(gxp, (b_idx, c_idx, t_idx * stride_t + argmax, v_idx), gy)
-        return gxp[:, :, pad_t : pad_t + length, :]
+        gxp = np.bincount(index.ravel(), np.ravel(gy), minlength=math.prod(padded))
+        return gxp.reshape(padded)[:, :, pad_t : pad_t + length]
 
-    return _op("maxpool_time",
-               np.take_along_axis(windows, argmax[..., np.newaxis], axis=-1)[..., 0],
-               (x,), grad_x)
+    return _op("maxpool_time", xp.take(index), (x,), grad_x)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -752,16 +780,6 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
     return _op("softmax_lastdim", y, (x,),
                lambda gy: y * (gy - (gy * y).sum(axis=-1, keepdims=True)))
-
-
-# Bytes of (L, L) float64 scores that attention_time handles at once: as
-# many whole sequences as fit or, past L = 256, BLOCK_BYTES // (8 L) rows of
-# one (195 at FUNet branch0's L = 336). A backward task holds two such
-# buffers (E and the score gradient); at this size they stay near one core's
-# 2 MiB L2 cache on the 2-vCPU Xeon the benchmark runs on, so each pass reads
-# cache, not DRAM. Of 0.125-4 MiB, 0.25-1 MiB measured fastest there at
-# L = 84-336, 4 MiB and the whole array slowest.
-BLOCK_BYTES = 512 * 1024
 
 
 def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:

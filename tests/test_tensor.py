@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import multiprocessing
 import sys
@@ -130,6 +131,12 @@ class TestConv2dTime:
         with pytest.raises(SequenceTooShortError):
             T.conv2d_time(x, w, None, stride_t=1, pad_t=0)
 
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 2, 3, 2)])
+    def test_weight_of_another_shape_names_the_layout(self, shape):
+        x = T.Tensor(rand((1, 2, 6, 1), 0))
+        with pytest.raises(ShapeError, match=r"\(Cout, Cin, k, 1\)"):
+            T.conv2d_time(x, T.Tensor(np.ones(shape)))
+
     def test_variate_isolation_bitwise(self):
         x = rand((2, 3, 10, 4), 21)
         w = T.Tensor(rand((5, 3, 3, 1), 22))
@@ -212,7 +219,34 @@ def _accumulated(g):
 
 
 def _reference_conv(x, w, b, stride, pad, gy):
-    """np.pad + sliding_window_view + einsum conv: (y, gx, gw, gb) as leaf grads."""
+    """np.pad + sliding_window_view conv with conv2d_time's products, one
+    window at a time: (y, gx, gw, gb) as leaf grads."""
+    batch, cin, length, variates = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0))) if pad else x
+    windows = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :, :]
+    out_len = windows.shape[2]
+    # columns (B, Cin*k, L'*V): row c*k + i is tap i's (L', V) plane of channel c
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 2, 3)).reshape(batch, cin * k, -1)
+    w2d = w.reshape(cout, cin * k)
+    gy3 = gy.reshape(batch, cout, -1)
+    y = np.stack([w2d @ c for c in cols]).reshape(batch, cout, out_len, variates)
+    if b is not None:
+        y = y + b.reshape(1, cout, 1, 1)
+    gw = np.stack([g @ c.T for g, c in zip(gy3, cols)]).sum(axis=0).reshape(w.shape)
+    gb = gy.sum(axis=(0, 2, 3)) if b is not None else None
+    gxp = np.zeros((batch, cin, length + 2 * pad, variates))
+    for i in range(k):
+        tap_t = np.ascontiguousarray(w[:, :, i, 0].T)
+        contrib = np.stack([tap_t @ g for g in gy3]).reshape(batch, cin, out_len, variates)
+        gxp[:, :, i : i + stride * out_len : stride, :] += contrib
+    gx = gxp[:, :, pad : pad + length, :]
+    return y, _accumulated(gx), _accumulated(gw), None if gb is None else _accumulated(gb)
+
+
+def _rows_conv(x, w, b, stride, pad, gy):
+    """The earlier rows @ W^T conv, one GEMM over every (b, t, v) row, and
+    its einsum input gradient: (y, gx, gw, gb) as leaf grads."""
     batch, cin, length, variates = x.shape
     cout, _, k, _ = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0))) if pad else x
@@ -224,7 +258,6 @@ def _reference_conv(x, w, b, stride, pad, gy):
     y = y.transpose(0, 3, 1, 2)
     if b is not None:
         y = y + b.reshape(1, cout, 1, 1)
-    y = np.ascontiguousarray(y)
     gy_rows = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(-1, cout)
     gw = (gy_rows.T @ rows2d).reshape(cout, cin, k, 1)
     gb = gy.sum(axis=(0, 2, 3)) if b is not None else None
@@ -281,7 +314,8 @@ ORACLE = settings(derandomize=True, deadline=None, database=None, max_examples=1
 
 class TestConvPoolOracle:
     """conv2d_time and maxpool_time match the np.pad + sliding_window_view
-    (+ einsum) reference formulations above, bit for bit."""
+    reference formulations above bit for bit, and conv2d_time stays within
+    1e-14 of the earlier rows @ W^T formulation's largest magnitude."""
 
     def _check_conv(self, rng, shape, cout, k, stride, pad, with_bias, transposed):
         x = T.Tensor(_layout(rng, shape, transposed, _normal), requires_grad=True)
@@ -291,16 +325,22 @@ class TestConvPoolOracle:
         gy = _upstream(rng, y.shape)
         y.grad = gy.copy()
         y._backward()
-        ry, rgx, rgw, rgb = _reference_conv(x.data, w.data, None if b is None else b.data,
-                                            stride, pad, gy)
+        bias = None if b is None else b.data
+        ry, rgx, rgw, rgb = _reference_conv(x.data, w.data, bias, stride, pad, gy)
         assert _bits_equal(y.data, ry)
         assert _bits_equal(x.grad, rgx)
         assert _bits_equal(w.grad, rgw)
         if with_bias:
             assert _bits_equal(b.grad, rgb)
+        with T.no_grad():
+            assert _bits_equal(T.conv2d_time(x, w, b, stride_t=stride, pad_t=pad).data, ry)
+        # the rows @ W^T products sum in another order: same values to rounding
+        for got, want in zip((y.data, x.grad, w.grad),
+                             _rows_conv(x.data, w.data, bias, stride, pad, gy)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
-    def _check_pool(self, rng, shape, stride, pad, transposed):
-        x = T.Tensor(_layout(rng, shape, transposed, _tied), requires_grad=True)
+    def _check_pool(self, rng, shape, stride, pad, transposed, values=_tied):
+        x = T.Tensor(_layout(rng, shape, transposed, values), requires_grad=True)
         y = T.maxpool_time(x, k=3, stride_t=stride, pad_t=pad)
         gy = _upstream(rng, y.shape)
         y.grad = gy.copy()
@@ -308,6 +348,8 @@ class TestConvPoolOracle:
         ry, rgx = _reference_maxpool(x.data, 3, stride, pad, gy)
         assert _bits_equal(y.data, ry)
         assert _bits_equal(x.grad, rgx)
+        with T.no_grad():
+            assert _bits_equal(T.maxpool_time(x, k=3, stride_t=stride, pad_t=pad).data, ry)
 
     @ORACLE
     @given(batch=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 8),
@@ -331,6 +373,27 @@ class TestConvPoolOracle:
         self._check_pool(np.random.default_rng(seed), (batch, channels, length, variates),
                          stride, pad, transposed)
 
+    def test_input_gradient_through_a_frozen_weight(self):
+        # no weight gradient keeps the columns: one window's buffer is reused
+        rng = np.random.default_rng(77)
+        x = T.Tensor(rng.normal(size=(3, 8, 700, 2)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(4, 8, 3, 1)))
+        y = T.conv2d_time(x, w, None, stride_t=1, pad_t=1)
+        gy = _upstream(rng, y.shape)
+        y.grad = gy.copy()
+        y._backward()
+        ry, rgx, _, _ = _reference_conv(x.data, w.data, None, 1, 1, gy)
+        assert _bits_equal(y.data, ry)
+        assert _bits_equal(x.grad, rgx)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_maxpool_nan_and_inf(self, stride, pad):
+        # argmax picks the first NaN of a window, and -inf or inf like numbers
+        values = np.array([-np.inf, np.inf, np.nan, -1.5, -0.0, 0.0, 2.0])
+        rng = np.random.default_rng(10 * stride + pad)
+        self._check_pool(rng, (2, 3, 11, 2), stride, pad, False,
+                         values=lambda rng, shape: rng.choice(values, size=shape))
+
     @pytest.mark.parametrize("cin,cout", [(1, 8), (3, 8), (4, 2), (1, 1)])
     @pytest.mark.parametrize("length,stride", [(1, 1), (2, 2)])
     def test_one_output_column(self, cin, cout, length, stride):
@@ -341,10 +404,17 @@ class TestConvPoolOracle:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_default_size(self, stride):
+        # every conv and maxpool call shape of the default FDNet and FUNet
+        # configs: batches of 16 and 32 at each focal length (and FUNet's
+        # L = 21 after two halvings), the body's 3x1 (stride 1) and
+        # conv_down (stride 2), 1x1 convs and the Cin = 1 value embedding
         rng = np.random.default_rng(1010)
-        self._check_conv(rng, (16, 8, 336, 7), 8, 3, stride, 1, True, False)
-        self._check_conv(rng, (16, 8, 336, 7), 8, 1, stride, 0, True, True)
-        self._check_pool(rng, (16, 8, 336, 7), stride, 1, False)
+        for batch, length in itertools.product((16, 32), (336, 168, 84, 42, 21)):
+            shape = (batch, 8, length, 7)
+            self._check_conv(rng, shape, 8, 3, stride, 1, True, False)
+            self._check_conv(rng, shape, 8, 1, stride, 0, True, True)
+            self._check_conv(rng, (batch, 1, length, 7), 8, 1, stride, 0, True, False)
+            self._check_pool(rng, shape, stride, 1, False)
 
 
 def _chain_weight_norm(v, g):
