@@ -50,6 +50,13 @@ A batch half that reads twin leaves (`Tensor.twin`) instead of the
 parameters keeps the two lanes' leaves apart, and one that draws its dropout
 masks from `TailGenerator` copies keeps their generators apart.
 
+Process setting: importing this module has glibc's malloc keep freed memory
+(`_keep_freed_memory`): arrays up to 32 MiB come from its heaps, not one mmap
+each, and the heaps are not trimmed. Otherwise each default FDNet train step
+faulted back in the ~150 MiB its predecessor freed (~40,000 minor faults and
+~96 ms of system time). Peak RSS is unchanged, RSS no longer falls after a
+step, and no bit moves.
+
 Broadcast rule for binary elementwise ops: the output always has the shape of
 the first operand `a`; the second operand `b` must either match exactly or
 expand into `a` by numpy trailing-axis alignment where every aligned
@@ -69,6 +76,7 @@ import glob
 import itertools
 import math
 import os
+import platform
 import threading
 import weakref
 from collections.abc import Callable, Iterable, Sequence
@@ -166,6 +174,19 @@ def _openblas():
         set_.restype, set_.argtypes = None, [ctypes.c_int]
         return get, set_
     return None
+
+
+def _keep_freed_memory():
+    """Under glibc, keep freed memory in the process (see the module docstring)."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    # setting either threshold stops glibc adjusting both, so trim only if mmap took
+    if mallopt is not None and mallopt(-3, 32 << 20) == 1:  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
 
 
 def _usable_cpus() -> int:

@@ -75,13 +75,18 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # moments in place, rounded as beta * m + (1 - beta) * g; p.data is rebound
+            # because a caller may hold the old array
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            step = np.sqrt(v / bc2)
+            step += self.eps
+            np.divide(lr * (m / bc1), step, out=step)
+            p.data = p.data - step
 
     def zero_grad(self):
         for p in self.params:

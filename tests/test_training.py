@@ -162,6 +162,34 @@ class TestAdam:
             return p.data
         assert np.array_equal(run(), run())
 
+    def test_in_place_update_matches_the_out_of_place_expressions_bitwise(self):
+        rng = np.random.default_rng(11)
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in [(3, 4), (5,), (2,)]]
+        opt = Adam(params)
+        ref = [p.data.copy() for p in params]
+        m = [np.zeros_like(r) for r in ref]
+        v = [np.zeros_like(r) for r in ref]
+        b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+        for t in range(1, 101):
+            lr = 10.0 ** rng.uniform(-4, -1)
+            grads = [rng.normal(size=r.shape) * 10.0 ** rng.uniform(-3, 3) for r in ref]
+            if t % 3 == 0:
+                grads[2] = None  # off the loss path this step
+            for p, g in zip(params, grads):
+                p.grad = g
+            held = params[0].data
+            before = held.copy()
+            opt.step(lr)
+            assert params[0].data is not held and np.array_equal(held, before)
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for i, g in enumerate(grads):
+                g = np.zeros_like(ref[i]) if g is None else g
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                ref[i] = ref[i] - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            for got, want in zip([p.data for p in params] + opt.m + opt.v, ref + m + v):
+                assert np.array_equal(got, want)
+
     def test_missing_grad_treated_as_zero(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         opt = Adam([p])
