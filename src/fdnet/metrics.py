@@ -168,6 +168,8 @@ def evaluate_run(model, windows: WindowSampler, standardizer: Standardizer,
     pairwise. So every number equals a per-window, per-variate loop's bits.
     """
     check_periodicity(m)
+    if batch_size < 1:
+        raise InvalidParameterError(f"batch_size must be >= 1, got {batch_size}")
     if len(windows) < 1:
         raise InsufficientDataError("no evaluation windows")
     l_out = windows.l_out

@@ -12,45 +12,40 @@ The plain block keeps temporal length; the downsampling block halves it
 time positions per variate through canonical attention.
 
 Parameters are read-only during forward; batched inference over distinct
-graphs is safe. Because branches share nothing, a forward of at least
-PARALLEL_MIN_ELEMENTS input elements hands two cuts of its work to
-`tensor._run_two`: the branches are cut once, at construction, into two
-contiguous groups of near-equal work (FDNet {0, 1} | {2, 3, 4}, FUNet {0} |
-{1..4} at the default plan). This module decides only what to cut;
-`_run_two` decides how the two run. When it gets its persistent helper
-thread, it runs the first group there in a copy of the caller's context, so
-`no_grad` and op hooks reach it, and the second on the calling thread, with
-numpy's OpenBLAS held at one thread until both are done. Each group's graph
-nodes then carry its lane, so a train step's backward runs the two groups'
-subgraphs on the same two threads after the loss and branch-sum nodes. In a
-process that can use one CPU, while another call holds the helper, and below
-the gate, the branches run serially on the calling thread. Either way the
-outputs are collected in branch order, the branch sum reduces
-oldest-to-newest and every gradient accumulates in the serial order, so
-results and gradients are bitwise the same.
+graphs is safe. Branches share nothing and each window's forecast depends on
+that window alone, so a forward of at least PARALLEL_MIN_ELEMENTS input
+elements hands two parts of its work to `tensor._run_two`, which decides how
+they run. At construction the branches are cut into two contiguous groups
+whose larger one holds the least of the summed `_Branch.work` (FDNet {0, 1} |
+{2, 3, 4}, FUNet {0} | {1..4} at the default plan), and one rule is fixed:
+batch halves when the larger group holds over 0.54 of the work (all of it at
+f 1, which has no cut), branch lanes otherwise. It holds for every large
+forward, train or eval, grad or no grad; halves also need at least 4 windows
+and an input that does not require grad. At the default plans FUNet (630 of
+1,134) splits its batch and FDNet (672 of 1,302) runs branch lanes.
 
-Each window's forecast depends on that window alone, so a forward of at
-least 4 windows and at least PARALLEL_MIN_ELEMENTS input elements cuts the
-batch instead when it is an eval-mode forward with grad off, or a
-grad-mode train forward of an input that does not require grad, in a model
-whose largest branch holds more than half of the summed `_Branch.work`, so
-that no cut of the branches can balance it. At the default plan that is
-FUNet (branch0, 630 of 1,134) and not FDNet (336 of 1,302); FDNet at f 1
-or 2 splits too. x[:B//2] and x[B//2:] each run the serial branch loop as
-`_run_two`'s two functions, and `tensor.concat` joins the prediction,
-branch outputs and representations. A train forward runs the second half
-on a deep copy of the branches that holds twin parameter leaves
-(`Tensor.twin`), whose gradients backward adds into the parameters' after
-the first half's, and `tensor.TailGenerator` copies of each dropout site's
-generator, which skip the first half's draws; the originals then take over
-the copies' states. Every mask is thus the whole batch's, and the streams
-go on as if the whole batch had drawn. The split depends
-on the input's shape and the model's plan alone, never on the CPU count:
-a half's smaller head GEMM can take another OpenBLAS kernel and differ
-from the whole batch's in the last bits (FUNet at L_in 672, V=1, embed 32,
-B=16), and a train step's gradients are a sum of two halves, so splitting
-on one CPU too keeps one-CPU and two-CPU outputs and gradients bitwise
-equal.
+Branch lanes run each group as one of `_run_two`'s functions. The group on
+the helper thread runs in a copy of the caller's context, so `no_grad` and op
+hooks reach it, and each group's graph nodes carry its lane, so a train step's
+backward runs the groups' subgraphs on the same two threads after the loss
+and branch-sum nodes. With one usable CPU, while another call holds the
+helper, and below the gate, the branches run serially on the calling
+thread. Either way outputs are collected in branch order, the branch sum
+reduces oldest-to-newest and every gradient accumulates in the serial
+order, so results and gradients are bitwise the same.
+
+Batch halves run the serial branch loop on x[:B//2] and x[B//2:] as
+`_run_two`'s functions, and `tensor.concat` joins the prediction, branch
+outputs and representations. A train forward runs the second half on a deep
+copy of the branches holding twin parameter leaves (`Tensor.twin`), whose
+gradients backward adds into the parameters' after the first half's, and
+`tensor.TailGenerator` copies of each dropout generator, which skip the
+first half's draws; the originals then take over the copies' states, so
+every mask and stream is the whole batch's. A half's smaller head GEMM can
+round apart from the whole batch's (FUNet at L_in 672, V=1, embed 32, B=16)
+and a train step's gradients are a sum of two halves, so the split depends
+on the plan and the input's shape alone, never on the CPU count: one-CPU and
+two-CPU outputs and gradients stay bitwise equal.
 """
 
 from __future__ import annotations
@@ -251,13 +246,13 @@ class _FocalModel(Module):
         work = [branch.work for branch in self.branches]
         self._cut = min(range(1, len(work)),
                         key=lambda k: max(sum(work[:k]), sum(work[k:])), default=0)
-        # No branch cut balances the lanes: train steps split the batch. On the
-        # 2-vCPU Xeon the benchmark runs on (L_in 672, V 7, embed 8, B 16), a
-        # split step took 0.56-0.94x the branch-lane step at each plan this
-        # picks (FDNet f 1, 2 and 3 at alpha 0.7; FUNet f 1, 3, 4, 5), and
-        # 1.00-1.03x at FUNet f 2 and 1.12x at FDNet's default plan, which it
-        # keeps. FUNet f 2 and f 5 (0.87x) are timed with attention_time's row chunks.
-        self._halve_train = 2 * max(work) > sum(work)
+        # Batch halves when the cut's larger side holds over 0.54 of the work.
+        # On the 2-vCPU Xeon the benchmark runs on (L_in 672, V 7, embed 8), a
+        # B 16 train step with halves took 1.04-1.15x the branch-lane step at
+        # larger-side shares 0.501-0.525, 0.80-0.98x at 0.556-0.609 and
+        # 0.58-0.62x at f 1; shares 0.534-0.548 read 1.01-1.10x, FUNet's 0.500
+        # 0.92-1.04x (BENCH_20.json `plans`).
+        self._halves = max(sum(work[:self._cut]), sum(work[self._cut:])) > 0.54 * sum(work)
 
     @property
     def config(self) -> dict:
@@ -301,12 +296,7 @@ class _FocalModel(Module):
         self._check_input(x)
         batch, _, l_in, variates = x.shape
         large = batch * l_in * variates * self.embed_dim >= PARALLEL_MIN_ELEMENTS
-        grad_enabled = T._state.get().grad
-        if mode == "eval":
-            halves = not grad_enabled
-        else:
-            halves = grad_enabled and self._halve_train and not x.requires_grad
-        if large and batch >= 4 and halves:
+        if large and batch >= 4 and self._halves and not x.requires_grad:
             return self._run_halves(x, mode)
         if self._cut == 0 or not large:
             return self._run_serial(x, mode)

@@ -3,17 +3,21 @@
 `tests/fixtures/golden_<variant>.npz` holds, for FDNet and for FUNet with two
 attention heads, a B=64 eval forward's predictions and the loss and every
 parameter's gradient of one B=64 train step, at fixed seeds. At L_in 96,
-V 7 and embed 8 the input has 64 * 96 * 7 * 8 = 2^18.4 elements, so the eval
-forward splits its batch, FDNet's train step runs its branch groups as two
-lanes and FUNet's splits its batch too (see `fdnet.models`); under one CPU
-all run serially and must agree. FUNet's gradients, a sum of the two
-halves', are within the tolerance below of the whole batch's that the file
-holds; its loss and predictions are bitwise the same.
+V 7 and embed 8 the input has 64 * 96 * 7 * 8 = 2^18.4 elements, so both
+forwards are large (see `fdnet.models`). FDNet's branch cut is balanced
+(0.516 of the work on its larger side), so its eval forward and train step
+run its branch groups as two lanes, bitwise the whole batch's serial loop;
+FUNet's (0.556) splits the batch of both. Under one CPU all run serially and
+must agree. FUNet's gradients, a sum of the two halves', are within the
+tolerance below of the whole batch's that the file holds; its loss and
+predictions are bitwise the same.
 
 The comparison allows 1e-12 relative error, because another CPU's OpenBLAS
-kernels may round the last bits differently; on the machine that wrote the
-files the results are bitwise equal. After a change that is meant to move
-these numbers, regenerate the files of the variants it moved with
+kernels may round the last bits differently. On the machine that wrote the
+files the results were bitwise equal; they were written when every large
+no-grad eval forward split its batch, so FDNet's eval predictions, now from
+branch lanes, differ from them by up to 3e-13. After a change that is meant
+to move these numbers, regenerate the files of the variants it moved with
 
     PYTHONPATH=src python tests/test_golden.py [fdnet] [funet]
 

@@ -292,6 +292,14 @@ class TestEvaluateRun:
         assert report.per_horizon["mase"] == mase.tolist()
         assert report.per_horizon["owa"] == (0.5 * (smape / ref_smape + mase / ref_mase)).tolist()
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        frame = self.frame(40, 2)
+        std = Standardizer.fit(frame)
+        windows = make_windows(std.transform(frame), 8, 2, 1)
+        with pytest.raises(InvalidParameterError, match="batch_size"):
+            M.evaluate_run(_CopyLastModel(2), windows, std, m=1, batch_size=batch_size)
+
     def test_real_model_runs_and_serializes(self):
         frame = self.frame(60, 2)
         std = Standardizer.fit(frame)
