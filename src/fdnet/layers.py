@@ -157,9 +157,9 @@ class MultiHeadAttention(Module):
     carry no bias. The score-softmax-context core is the fused
     `tensor.attention_time` op: it runs every pass over the (L x L) scores
     of a few (sequence, head) pairs, or a run of rows of one, at a time,
-    sized to stay in cache, and keeps one buffer of unnormalised
-    exponentials per head and sequence, with their row sums, for backward
-    (none under `no_grad`) instead of one per step of the unfused chain.
+    sized to stay in cache. It keeps row maxima and sums, exponentials
+    recomputed in backward: (L x 1) arrays per head and sequence, instead
+    of the (L x L) arrays of each step of the unfused chain.
     """
 
     def __init__(self, d: int, heads: int = 1, *, rng: np.random.Generator):

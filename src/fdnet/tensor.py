@@ -4,10 +4,10 @@ The models, the loss and training use elementwise arithmetic with
 bias-style broadcasting, matmul, time-axis 2D convolution and max-pooling
 that never mix variates, weight normalization as one op, GELU, dropout,
 fused scaled dot-product attention that walks its (L, L) scores in
-cache-sized tasks (a few sequences, or rows of one) and keeps unnormalised
-exponentials and row sums, not probabilities, for backward, and the shape
-ops (reshape/transpose/slice/concat/sum) that wire them together. Four ops
-no model calls: `neg`, `div`, `sqrt` and `softmax_lastdim`; only the
+cache-sized tasks (a few sequences, or rows of one) and keeps row maxima
+and sums, exponentials recomputed in backward, not probabilities, and the
+shape ops (reshape/transpose/slice/concat/sum) that wire them together.
+Four ops no model calls: `neg`, `div`, `sqrt` and `softmax_lastdim`; only the
 gradient suite (`fdnet.verification`) and the benchmark's op map use them.
 GELU and dropout work their temporaries in place and, like maxpool and
 weight norm, round exactly as the plain numpy expressions they replace; the
@@ -551,11 +551,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # windows as fit (at least one; one at L = 336 with Cin*k = 24). attention_time
 # takes (L, L) scores of as many whole sequences as fit or, past L = 256,
 # BLOCK_BYTES // (8 L) rows of one (195 at FUNet branch0's L = 336); a
-# backward task holds two such buffers (E and the score gradient). At this
-# size they stay near one core's 2 MiB L2 cache on the 2-vCPU Xeon the
-# benchmark runs on, so each pass reads cache, not DRAM. For attention, of
-# 0.125-4 MiB, 0.25-1 MiB measured fastest there at L = 84-336, 4 MiB and
-# the whole array slowest.
+# backward task holds two such buffers (E, recomputed, and the score
+# gradient). At this size they stay near one core's 2 MiB L2 cache on the
+# 2-vCPU Xeon the benchmark runs on, so each pass reads cache, not DRAM.
+# For attention, of 0.125-4 MiB, 0.25-1 MiB measured fastest there at
+# L = 84-336, 4 MiB and the whole array slowest.
 BLOCK_BYTES = 512 * 1024
 
 
@@ -809,13 +809,17 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     q, k, v are (..., L, d) with equal leading dims, seen as n = prod(...)
     sequences. Forward and backward walk the (L, L) scores in BLOCK_BYTES
     tasks and make every pass over a task while it is in cache. Forward
-    exponentiates S = (q * scale) @ k^T less its row max in place, keeps
-    those exponentials E and their row sums r, and returns (E @ v) / r.
-    Backward takes the softmax's row correction from the output, D =
-    rowsum(gy * ctx), as FlashAttention does, and the score gradient from
-    one GEMM on [gy, D] / r and [v, -1] * scale, times E. Under `no_grad`
-    only one task's buffer is allocated. Results are not bitwise those of
-    the unfused chain; the tests hold them to a long-double reference.
+    exponentiates S = (q * scale) @ k^T less its row max m in place, keeps
+    the row maxima m and the row sums r of those exponentials E, and
+    returns (E @ v) / r. Backward recomputes each task's E = exp(S - m)
+    with forward's GEMM shapes and order of operations, so E is forward's
+    bit for bit; as FlashAttention does, it takes the softmax's row
+    correction from the output, D = rowsum(gy * ctx), and the score
+    gradient from one GEMM on [gy, D] / r and [v, -1] * scale, times E. In
+    every mode forward allocates one task's buffer of exponentials and
+    backward two (E and the score gradient), never an (n, L, L) array.
+    Results are not bitwise those of the unfused chain; the tests hold them
+    to a long-double reference.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim < 2 or q.shape[-2] < 1 or not q.shape == k.shape == v.shape:
@@ -828,14 +832,16 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     tasks = [(slice(i, min(i + seqs, n)), slice(j, min(j + rows, length)))
              for i in range(0, n, seqs) for j in range(0, length, rows)]
     qs, ks, vs = (t.data.reshape(n, length, d) for t in (q, k, v))
-    keep = _state.get().grad and (q.requires_grad or k.requires_grad or v.requires_grad)
-    exps = np.empty((n, length, length) if keep else (min(seqs, n), min(rows, length), length))
-    sums, ctx = np.empty((n, length, 1)), np.empty((n, length, d))
-    q_scaled, k_t = qs * scale, ks.swapaxes(1, 2)
+    k_t, task = ks.swapaxes(1, 2), (min(seqs, n), min(rows, length), length)
+    (maxes, sums), ctx = np.empty((2, n, length, 1)), np.empty((n, length, d))
+
+    def front(buf, s, r):
+        return buf[: s.stop - s.start, : r.stop - r.start]
+
+    exps = np.empty(task)
     for s, r in tasks:
-        e = exps[s, r] if keep else exps[: s.stop - s.start, : r.stop - r.start]
-        np.matmul(q_scaled[s, r], k_t[s], out=e)
-        e -= e.max(axis=-1, keepdims=True)
+        e = np.matmul(qs[s, r] * scale, k_t[s], out=front(exps, s, r))
+        e -= e.max(axis=-1, keepdims=True, out=maxes[s, r])
         np.exp(e, out=e)
         e.sum(axis=-1, keepdims=True, out=sums[s, r])
         np.matmul(e, vs[s], out=ctx[s, r])
@@ -851,9 +857,13 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         np.multiply(vs, scale, out=rhs[..., :d])
         rhs_t = rhs.swapaxes(1, 2)
         gq, gk, gv = np.empty((3, n, length, d))
+        # forward's GEMMs and subtract-then-exp again, so E is forward's, bitwise
+        exps, score_grads = np.empty(task), np.empty(task)
         for s, r in tasks:
-            e = exps[s, r]
-            g = lhs[s, r] @ rhs_t[s]
+            e = np.matmul(qs[s, r] * scale, k_t[s], out=front(exps, s, r))
+            e -= maxes[s, r]
+            np.exp(e, out=e)
+            g = np.matmul(lhs[s, r], rhs_t[s], out=front(score_grads, s, r))
             g *= e
             np.matmul(g, ks[s], out=gq[s, r])
             if r.start == 0:

@@ -679,6 +679,61 @@ def _assert_as_accurate_as_chain(data, weight, scale):
         assert err <= max(2 * chain_err, 1e-14 * logits * size), (name, err, chain_err)
 
 
+def _stored_exps_attention(q, k, v, scale):
+    """attention_time as it was before it recomputed E in backward: the same
+    tasks and passes, with every task's exponentials kept in one (n, L, L)
+    buffer until backward."""
+    length, d = q.shape[-2:]
+    n = math.prod(q.shape[:-2])
+    rows = max(1, T.BLOCK_BYTES // (8 * length))
+    seqs = max(1, rows // length)
+    tasks = [(slice(i, min(i + seqs, n)), slice(j, min(j + rows, length)))
+             for i in range(0, n, seqs) for j in range(0, length, rows)]
+    qs, ks, vs = (t.data.reshape(n, length, d) for t in (q, k, v))
+    exps, sums = np.empty((n, length, length)), np.empty((n, length, 1))
+    ctx, q_scaled, k_t = np.empty((n, length, d)), qs * scale, ks.swapaxes(1, 2)
+    for s, r in tasks:
+        e = exps[s, r]
+        np.matmul(q_scaled[s, r], k_t[s], out=e)
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e.sum(axis=-1, keepdims=True, out=sums[s, r])
+        np.matmul(e, vs[s], out=ctx[s, r])
+    ctx /= sums
+
+    def backward(gy):
+        lhs = np.empty((n, length, d + 1))
+        np.divide(gy.reshape(n, length, d), sums, out=lhs[..., :d])
+        (lhs[..., :d] * ctx).sum(axis=-1, out=lhs[..., d])
+        rhs = np.full((n, length, d + 1), -scale)
+        np.multiply(vs, scale, out=rhs[..., :d])
+        rhs_t = rhs.swapaxes(1, 2)
+        gq, gk, gv = np.empty((3, n, length, d))
+        for s, r in tasks:
+            e = exps[s, r]
+            g = lhs[s, r] @ rhs_t[s]
+            g *= e
+            np.matmul(g, ks[s], out=gq[s, r])
+            if r.start == 0:
+                np.matmul(g.swapaxes(1, 2), qs[s, r], out=gk[s])
+                np.matmul(e.swapaxes(1, 2), lhs[s, r, :d], out=gv[s])
+            else:
+                gk[s] += g.swapaxes(1, 2) @ qs[s, r]
+                gv[s] += e.swapaxes(1, 2) @ lhs[s, r, :d]
+        for t, grad in ((q, gq), (k, gk), (v, gv)):
+            if t.requires_grad:
+                t._accumulate(grad.reshape(t.shape))
+
+    return T._op("attention_time", ctx.reshape(q.shape), (q, k, v), backward=backward)
+
+
+def _assert_bits_of_stored_exps(data, weight, scale):
+    got = _attention_results(T.attention_time, data, weight, scale)
+    want = _attention_results(_stored_exps_attention, data, weight, scale)
+    for name, a, b in zip(("out", "gq", "gk", "gv"), got, want):
+        assert _bits_equal(a, b), name
+
+
 class TestAttentionTime:
     @pytest.mark.parametrize("heads", [1, 2])
     def test_as_accurate_as_unfused_chain(self, heads):
@@ -691,6 +746,26 @@ class TestAttentionTime:
             weight = rand((n, heads, length, dh), 73)
             _assert_as_accurate_as_chain(data, weight, 1.0 / math.sqrt(dh))
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_bitwise_equal_to_stored_exponentials(self, heads):
+        # the task layouts of test_as_accurate_as_unfused_chain: one task, rows
+        # of one sequence (a partial last chunk, r.start > 0), and several
+        # sequences per task (a partial last task)
+        dh = 4
+        for n, length in ((3, 7), (2, 600), (5, 128)):
+            data = [rand((n, length, heads, dh), seed, scale=2.0) for seed in (80, 81, 82)]
+            weight = rand((n, heads, length, dh), 83)
+            _assert_bits_of_stored_exps(data, weight, 1.0 / math.sqrt(dh))
+
+    @settings(ORACLE, max_examples=40)
+    @given(n=st.integers(1, 3), length=st.integers(1, 700), dh=st.integers(1, 8),
+           size=st.sampled_from([0.1, 1.0, 5.0, 20.0]), scale=st.floats(0.05, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_stored_exponentials_property(self, n, length, dh, size, scale, seed):
+        rng = np.random.default_rng(seed)
+        data = [rng.normal(size=(n, length, 1, dh)) * size for _ in range(3)]
+        _assert_bits_of_stored_exps(data, rng.normal(size=(n, 1, length, dh)), scale)
+
     @settings(ORACLE, max_examples=40)
     @given(n=st.integers(1, 3), length=st.integers(1, 700), dh=st.integers(1, 8),
            size=st.sampled_from([0.1, 1.0, 5.0, 20.0]), scale=st.floats(0.05, 2.0),
@@ -700,20 +775,25 @@ class TestAttentionTime:
         data = [rng.normal(size=(n, length, 1, dh)) * size for _ in range(3)]
         _assert_as_accurate_as_chain(data, rng.normal(size=(n, 1, length, dh)), scale)
 
-    def test_no_grad_allocates_one_block(self):
+    def test_allocates_one_block_with_and_without_grad(self):
         n, length, d = 8, 512, 8
         q, k, v = (T.Tensor(rand((n, 1, length, d), seed), requires_grad=True)
                    for seed in (74, 75, 76))
+        whole = n * length * length * 8  # one (n, L, L) float64 buffer, 16.8 MB
         tracemalloc.start()
         try:
             with T.no_grad():
                 out = T.attention_time(q, k, v, 0.25)
-            peak = tracemalloc.get_traced_memory()[1]
+            no_grad_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            grad_out = T.attention_time(q, k, v, 0.25)
+            T.tensor_sum(grad_out).backward()
+            grad_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        whole = n * length * length * 8  # one (n, L, L) float64 buffer, 16.8 MB
-        assert peak < whole / 4
-        assert np.array_equal(out.data, T.attention_time(q, k, v, 0.25).data)
+        assert no_grad_peak < whole / 4
+        assert grad_peak < whole / 4
+        assert np.array_equal(out.data, grad_out.data)
 
     def test_empty_sequence_rejected(self):
         q = T.Tensor(np.zeros((2, 0, 3)))
