@@ -115,6 +115,8 @@ def load_csv(path, target_column: str) -> TimeSeriesFrame:
             raise SchemaError(f"{path}: empty file, no header row") from None
         except UnicodeDecodeError as exc:
             raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit(), a process-wide limit
+            raise CsvParseError(f"{path}, line {reader.line_num}: {exc}") from None
 
     if not rows:
         raise SchemaError(f"{path}: no data rows")

@@ -42,7 +42,8 @@ class SchemaError(ForecastError):
 
 
 class CsvParseError(ForecastError):
-    """A CSV cell failed numeric parsing; message carries row/column."""
+    """A CSV file cannot be read as UTF-8 CSV, or a row or cell does not
+    parse; the message says where."""
 
 
 class InvalidSplitError(ForecastError):

@@ -548,7 +548,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # Bytes of float64 work that conv2d_time and attention_time handle at once.
 # conv2d_time fills and multiplies the im2col columns of as many whole
-# windows as fit (at least one; one at L = 336 with Cin*k = 24). attention_time
+# windows as fit (at least one; one at L = 336 with Cin*k = 24), in forward
+# and again for the weight gradient, and keeps none of them. attention_time
 # takes (L, L) scores of as many whole sequences as fit or, past L = 256,
 # BLOCK_BYTES // (8 L) rows of one (195 at FUNet branch0's L = 336); a
 # backward task holds two such buffers (E, recomputed, and the score
@@ -595,13 +596,14 @@ def conv2d_time(
     the innermost axis. A window's im2col columns are (Cin*k, L'*V), each row
     a whole (L', V) plane: the input itself for k = 1, stride 1 and no
     padding, otherwise k strided plane slices of a copy of the input
-    zero-padded along L. One GEMM per window, W (Cout, Cin*k) @ columns,
-    lands in the output layout, and the bias is added in place. Backward
-    adds W_i^T @ gy per tap i into the zero-padded input gradient, and takes
-    the weight gradient as one GEMM per window over its columns, summed over
-    windows. tests/test_tensor.py holds outputs and gradients to the bits of
-    an np.pad + sliding_window_view reference with the same products, and
-    within 1e-14 of the earlier one-GEMM rows @ W^T formulation.
+    zero-padded along L, filled a chunk of about BLOCK_BYTES at a time. One
+    GEMM per window, W (Cout, Cin*k) @ columns, lands in the output layout,
+    and the bias is added in place. Backward adds W_i^T @ gy per tap i into
+    the zero-padded input gradient, and takes the weight gradient as one GEMM
+    per window over columns it rebuilds chunk by chunk, summed over windows:
+    no mode keeps columns. tests/test_tensor.py holds outputs and gradients
+    to the bits of an np.pad + sliding_window_view reference with the same
+    products, and within 1e-14 of the earlier one-GEMM rows @ W^T form.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if weight.data.ndim != 4 or weight.shape[3] != 1:
@@ -623,27 +625,27 @@ def conv2d_time(
     pointwise = k == 1 and stride_t == 1 and pad_t == 0
     w2d = weight.data.reshape(cout, cin * k)
     n_cols = out_len * variates
-    if pointwise:
-        # C order, so that every input layout gets the same GEMM operands
-        cols = np.ascontiguousarray(x.data).reshape(batch, cin, n_cols)
-        out_data = np.matmul(w2d, cols)
-    else:
-        # Windows go in chunks of about BLOCK_BYTES of columns, so a chunk's
-        # columns are still in cache when its GEMM reads them. Only the
-        # weight gradient reads them again; without it one chunk is reused.
-        keep = _state.get().grad and weight.requires_grad
+
+    def chunks():
+        # (start, stop, columns) per chunk of windows, for forward and for grad_weight
+        if pointwise:
+            # C order, so that every input layout gets the same GEMM operands
+            yield 0, batch, np.ascontiguousarray(x.data).reshape(batch, cin, n_cols)
+            return
         chunk = min(batch, max(1, BLOCK_BYTES // (8 * cin * k * n_cols)))
         xp = np.zeros((chunk,) + padded[1:])
-        cols = np.empty((batch if keep else chunk, cin * k, n_cols))
-        out_data = np.empty((batch, cout, n_cols))
+        cols = np.empty((chunk, cin * k, n_cols))
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)
             xp[: stop - start, :, pad_t : pad_t + length] = x.data[start:stop]
-            window_cols = cols[start:stop] if keep else cols[: stop - start]
-            planes = window_cols.reshape(stop - start, cin, k, out_len, variates)
+            planes = cols[: stop - start].reshape(stop - start, cin, k, out_len, variates)
             for i in range(k):
                 planes[:, :, i] = xp[: stop - start, :, i : i + span : stride_t]
-            np.matmul(w2d, window_cols, out=out_data[start:stop])
+            yield start, stop, cols[: stop - start]
+
+    out_data = np.empty((batch, cout, n_cols))
+    for start, stop, cols in chunks():
+        np.matmul(w2d, cols, out=out_data[start:stop])
     if bias is not None:
         out_data += bias.data[:, np.newaxis]
 
@@ -660,7 +662,10 @@ def conv2d_time(
 
     def grad_weight(gy):
         gy = np.ascontiguousarray(gy).reshape(batch, cout, n_cols)
-        return np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        per_window = np.empty((batch, cout, cin * k))
+        for start, stop, cols in chunks():
+            np.matmul(gy[start:stop], cols.transpose(0, 2, 1), out=per_window[start:stop])
+        return per_window.sum(axis=0).reshape(weight.shape)
 
     out_data = out_data.reshape(batch, cout, out_len, variates)
     if bias is None:

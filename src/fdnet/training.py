@@ -265,7 +265,7 @@ def load_checkpoint(path) -> Checkpoint:
         (blob_len,) = struct.unpack("<I", _read_exact(fh, 4, end))
         try:
             payload = json.loads(_read_exact(fh, blob_len, end).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CorruptCheckpointError(f"unreadable config blob: {exc}") from None
         try:
             config, meta = payload["config"], payload["meta"]

@@ -2,19 +2,20 @@
 checkpoint bytes either work or fail with a ForecastError, never with
 another exception."""
 
+import struct
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdnet.cli import RunConfig
 from fdnet.data import SplitSpec, Standardizer, load_csv, split
-from fdnet.errors import ForecastError
-from fdnet.training import load_checkpoint
+from fdnet.errors import CorruptCheckpointError, ForecastError
+from fdnet.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CHECKPOINTS = {name: (FIXTURES / name).read_bytes()
@@ -80,6 +81,7 @@ class TestCsvBody:
                           st.builds("date,x,OT\n{}".format, csv_rows(NUMBERS)),
                           st.builds("date,x,OT\n{}".format,
                                     csv_rows(st.one_of(NUMBERS, st.text(max_size=6))))))
+    @example(body="date,x,OT\n2020,1," + "9" * 131_073)  # over the csv module's field limit
     def test_load_split_standardize(self, scratch, body):
         if isinstance(body, str):
             scratch.write_text(body, encoding="utf-8")
@@ -119,3 +121,10 @@ class TestCheckpointBytes:
     def test_appended(self, scratch, name, extra):
         scratch.write_bytes(CHECKPOINTS[name] + extra)
         works_or_forecast_error(load_checkpoint, scratch)
+
+    def test_deeply_nested_config(self, scratch):
+        nested = b"[" * 100_000 + b"]" * 100_000
+        scratch.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(nested))
+                            + nested)
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(scratch)

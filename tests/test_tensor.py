@@ -373,18 +373,40 @@ class TestConvPoolOracle:
         self._check_pool(np.random.default_rng(seed), (batch, channels, length, variates),
                          stride, pad, transposed)
 
-    def test_input_gradient_through_a_frozen_weight(self):
-        # no weight gradient keeps the columns: one window's buffer is reused
+    @pytest.mark.parametrize("frozen", ["weight", "input"])
+    def test_gradient_through_a_frozen_operand(self, frozen):
+        # one window's columns fill a chunk, so there are three chunks
         rng = np.random.default_rng(77)
-        x = T.Tensor(rng.normal(size=(3, 8, 700, 2)), requires_grad=True)
-        w = T.Tensor(rng.normal(size=(4, 8, 3, 1)))
+        x = T.Tensor(rng.normal(size=(3, 8, 700, 2)), requires_grad=frozen != "input")
+        w = T.Tensor(rng.normal(size=(4, 8, 3, 1)), requires_grad=frozen != "weight")
         y = T.conv2d_time(x, w, None, stride_t=1, pad_t=1)
         gy = _upstream(rng, y.shape)
         y.grad = gy.copy()
         y._backward()
-        ry, rgx, _, _ = _reference_conv(x.data, w.data, None, 1, 1, gy)
+        ry, rgx, rgw, _ = _reference_conv(x.data, w.data, None, 1, 1, gy)
         assert _bits_equal(y.data, ry)
-        assert _bits_equal(x.grad, rgx)
+        fixed, trained, want = (w, x, rgx) if frozen == "weight" else (x, w, rgw)
+        assert fixed.grad is None
+        assert _bits_equal(trained.grad, want)
+
+    def test_grad_mode_forward_keeps_no_columns(self):
+        # FDNet's body conv at B 16: a batch's columns would be 6.9 MiB
+        rng = np.random.default_rng(78)
+        x, w, b = (T.Tensor(rng.normal(size=shape), requires_grad=True)
+                   for shape in ((16, 8, 336, 7), (8, 8, 3, 1), (8,)))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                T.conv2d_time(x, w, b, stride_t=1, pad_t=1)
+            no_grad_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            y = T.conv2d_time(x, w, b, stride_t=1, pad_t=1)
+            after, grad_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grad_peak <= no_grad_peak + 8 * 1024
+        assert after - before - y.data.nbytes < 8 * 1024
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_maxpool_nan_and_inf(self, stride, pad):
