@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -79,16 +80,43 @@ class TimeSeriesFrame:
                                self.target, ts)
 
 
-def _parse_float(cell: str, row: int, col_name: str) -> float:
+def _parse_rows(path, rows: list[list[str]], width: int, value_cols: list[str]) -> np.ndarray:
+    """Parse value cells one at a time, row-major, raising at the first bad row or cell.
+
+    Each cell is `float(cell.strip())`. That also parses the few cells the bulk
+    pass rejects although they are numbers once stripped: `str.strip` removes
+    the ASCII separators U+001C-U+001F, which `float` does not.
+    """
+    offset = width - len(value_cols)
+    values = np.empty((len(rows), len(value_cols)), dtype=np.float64)
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise CsvParseError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
+        for c, name in enumerate(value_cols):
+            cell = row[c + offset].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvParseError(f"{path}: non-numeric cell at row {r + 1}, "
+                                    f"column {name!r}: {cell!r}") from None
+            if not np.isfinite(value):
+                raise CsvParseError(f"{path}: non-finite cell at row {r + 1}, "
+                                    f"column {name!r}: {cell!r}")
+            values[r, c] = value
+    return values
+
+
+def _parse_bulk(rows: list[list[str]], width: int, n_values: int) -> np.ndarray | None:
+    """Parse every value cell in one pass; None when any row or cell is bad."""
+    if any(len(row) != width for row in rows):
+        return None
+    offset = width - n_values
+    cells = chain.from_iterable(row[offset:] for row in rows)
     try:
-        value = float(cell)
+        values = np.fromiter(map(float, cells), np.float64, len(rows) * n_values)
     except ValueError:
-        raise CsvParseError(
-            f"non-numeric cell at row {row}, column {col_name!r}: {cell!r}"
-        ) from None
-    if not np.isfinite(value):
-        raise CsvParseError(f"non-finite cell at row {row}, column {col_name!r}: {cell!r}")
-    return value
+        return None
+    return values.reshape(len(rows), n_values) if np.isfinite(values).all() else None
 
 
 def _is_numeric(cell: str) -> bool:
@@ -105,6 +133,12 @@ def load_csv(path, target_column: str) -> TimeSeriesFrame:
     The first column is treated as a timestamp column when its first data
     cell is non-numeric. Handles both LF and CRLF line endings and a
     UTF-8 byte-order mark.
+
+    Value cells are parsed in one bulk pass with Python's `float`, then
+    checked finite all at once. Only when that pass fails does a per-cell
+    loop run; it raises `CsvParseError` naming the file and the first
+    ragged row or bad cell in row-major order. Either way each value is
+    bitwise `float(cell.strip())`.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -126,24 +160,15 @@ def load_csv(path, target_column: str) -> TimeSeriesFrame:
     if target_column not in value_cols:
         raise SchemaError(f"{path}: target column {target_column!r} not found in header")
 
-    timestamps: list[str] = []
-    values = np.empty((len(rows), len(value_cols)), dtype=np.float64)
-    offset = 1 if has_timestamp else 0
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise CsvParseError(
-                f"row {r + 1} has {len(row)} cells, expected {len(header)}"
-            )
-        if has_timestamp:
-            timestamps.append(row[0])
-        for c, name in enumerate(value_cols):
-            values[r, c] = _parse_float(row[c + offset].strip(), r + 1, name)
+    values = _parse_bulk(rows, len(header), len(value_cols))
+    if values is None:
+        values = _parse_rows(path, rows, len(header), value_cols)
 
     return TimeSeriesFrame(
         columns=tuple(value_cols),
         values=values,
         target=target_column,
-        timestamps=tuple(timestamps) if has_timestamp else None,
+        timestamps=tuple(row[0] for row in rows) if has_timestamp else None,
     )
 
 

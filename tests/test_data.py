@@ -77,6 +77,22 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError):
             load_csv(p, "OT")
 
+    @pytest.mark.parametrize("body, error", [
+        ("a,OT\n1,4\n2,oops\n3,5\n4,5,6\n", "non-numeric cell at row 2, column 'OT': 'oops'"),
+        ("a,OT\n1,4\n2,5,6\n3,5\n4,oops\n", "row 2 has 3 cells, expected 2"),
+        ("a,OT\n1,4\nnan,5\n3,oops\n", "non-finite cell at row 2, column 'a': 'nan'"),
+        ("a,OT\n1,4\n oops ,5,6\n", "row 2 has 3 cells, expected 2"),
+        ("a,OT\n1,1e999\nx,4\n", "non-finite cell at row 1, column 'OT': '1e999'"),
+        ("date,a,OT\nd0,1,4\nd1,2\nd2,x,5\n", "row 2 has 2 cells, expected 3"),
+    ], ids=["bad_cell_then_ragged_row", "ragged_row_then_bad_cell", "nan_then_non_numeric",
+            "ragged_row_holding_a_bad_cell", "row_major_not_column_major", "dated"])
+    def test_first_fault_in_row_major_order_names_the_file(self, tmp_path, body, error):
+        p = tmp_path / "d.csv"
+        p.write_text(body)
+        with pytest.raises(CsvParseError) as raised:
+            load_csv(p, "OT")
+        assert str(raised.value) == f"{p}: {error}"
+
 
 class TestSplit:
     def test_ratio_70_10_20(self):

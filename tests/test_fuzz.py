@@ -100,6 +100,54 @@ class TestCsvBody:
             works_or_forecast_error(pipeline)
 
 
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(1e307, 1.7976931348623157e308),
+                   st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308))
+NUMERIC_CELLS = st.one_of(
+    st.builds(lambda fmt, x: fmt.format(x),
+              st.sampled_from(["{!r}", "{:+}", "{:e}", "{:+.17E}", "{:.3f}", "{:_.6f}"]),
+              FINITE),
+    st.integers(-10**30, 10**30).map("{:_}".format),
+    st.sampled_from(["-0.0", "-0", "+0", "1_0e1_0", "1e308", "-1.7976931348623157e+308",
+                     "5e-324", "-4.9e-324"]),
+)
+# \x1c-\x1f are cleared by str.strip but refused by float
+PAD = st.text(" \t\x0b\x0c\xa0\u2002\u3000\x1c\x1d\x1e\x1f", max_size=3)
+
+
+@st.composite
+def numeric_csv(draw):
+    """(body, columns, timestamps, cells) of a CSV with or without a date column."""
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 12))
+    dated = draw(st.booleans())
+    columns = [f"c{i}" for i in range(n_cols - 1)] + ["OT"]
+    cells = [[draw(NUMERIC_CELLS) for _ in range(n_cols)] for _ in range(n_rows)]
+    padded = [[draw(PAD) + cell + draw(PAD) for cell in row] for row in cells]
+    if not dated:  # an undated file's first cell must parse unstripped, or it reads as a date
+        padded[0][0] = cells[0][0]
+    stamps = [draw(st.from_regex(r"\A20[0-9]{2}-[01][0-9]-[0-3][0-9]( [0-2][0-9]:00)?\Z"))
+              for _ in range(n_rows)] if dated else None
+    lines = [",".join((["date"] if dated else []) + columns)]
+    lines += [",".join(([stamps[r]] if dated else []) + padded[r]) for r in range(n_rows)]
+    return "\n".join(lines) + "\n", tuple(columns), stamps, padded
+
+
+class TestCsvValues:
+    @FUZZ
+    @given(case=numeric_csv())
+    @example(case=("date,OT\nd,1\x1c\n", ("OT",), ["d"], [["1\x1c"]]))
+    def test_values_are_per_cell_float_of_the_stripped_cell(self, scratch, case):
+        body, columns, stamps, cells = case
+        scratch.write_text(body, encoding="utf-8")
+        frame = load_csv(scratch, "OT")
+        expected = np.array([[float(cell.strip()) for cell in row] for row in cells])
+        assert frame.values.dtype == np.float64 and frame.values.flags.c_contiguous
+        assert frame.values.tobytes() == expected.tobytes()
+        assert frame.columns == columns
+        assert frame.timestamps == (tuple(stamps) if stamps else None)
+
+
 class TestCheckpointBytes:
     @FUZZ
     @given(name=st.sampled_from(sorted(CHECKPOINTS)), data=st.data())
