@@ -1,16 +1,20 @@
 """CSV ingestion, splitting, z-score standardization and window sampling.
 
-Frames are immutable after load. A leading timestamp column is auto-detected
-by non-numeric content in the first data row; it is parsed into `timestamps`
-and excluded from the value matrix. Missing or non-numeric cells are hard
-errors with row/column locations: the supported datasets are complete, and
-silent imputation would corrupt downstream checks.
+Frames are immutable after load. One rule says what a number is,
+`float(cell.strip())`: a leading column whose first data cell breaks it is
+a timestamp column, kept in `timestamps` and excluded from the value matrix,
+and every value cell is parsed by it in one bulk pass, with no per-cell
+value loop. Missing, non-numeric or non-finite cells are hard errors with
+row/column locations: the supported datasets are complete, and silent
+imputation would corrupt downstream checks.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -80,65 +84,40 @@ class TimeSeriesFrame:
                                self.target, ts)
 
 
-def _parse_rows(path, rows: list[list[str]], width: int, value_cols: list[str]) -> np.ndarray:
-    """Parse value cells one at a time, row-major, raising at the first bad row or cell.
+def _numbers(cells):
+    """Map the one numeric-cell rule, `float(cell.strip())`, over cells at C level."""
+    return map(float, map(str.strip, cells))
 
-    Each cell is `float(cell.strip())`. That also parses the few cells the bulk
-    pass rejects although they are numbers once stripped: `str.strip` removes
-    the ASCII separators U+001C-U+001F, which `float` does not.
-    """
+
+def _raise_first_fault(path, rows: list[list[str]], width: int, value_cols: list[str]):
+    """Raise `CsvParseError` at the first ragged row, non-numeric or non-finite cell."""
     offset = width - len(value_cols)
-    values = np.empty((len(rows), len(value_cols)), dtype=np.float64)
-    for r, row in enumerate(rows):
+    for r, row in enumerate(rows, 1):
         if len(row) != width:
-            raise CsvParseError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
-        for c, name in enumerate(value_cols):
-            cell = row[c + offset].strip()
+            raise CsvParseError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+        for name, cell in zip(value_cols, row[offset:]):
             try:
-                value = float(cell)
+                value = next(_numbers([cell]))
             except ValueError:
-                raise CsvParseError(f"{path}: non-numeric cell at row {r + 1}, "
-                                    f"column {name!r}: {cell!r}") from None
+                raise CsvParseError(f"{path}: non-numeric cell at row {r}, "
+                                    f"column {name!r}: {cell.strip()!r}") from None
             if not np.isfinite(value):
-                raise CsvParseError(f"{path}: non-finite cell at row {r + 1}, "
-                                    f"column {name!r}: {cell!r}")
-            values[r, c] = value
-    return values
-
-
-def _parse_bulk(rows: list[list[str]], width: int, n_values: int) -> np.ndarray | None:
-    """Parse every value cell in one pass; None when any row or cell is bad."""
-    if any(len(row) != width for row in rows):
-        return None
-    offset = width - n_values
-    cells = chain.from_iterable(row[offset:] for row in rows)
-    try:
-        values = np.fromiter(map(float, cells), np.float64, len(rows) * n_values)
-    except ValueError:
-        return None
-    return values.reshape(len(rows), n_values) if np.isfinite(values).all() else None
-
-
-def _is_numeric(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+                raise CsvParseError(f"{path}: non-finite cell at row {r}, "
+                                    f"column {name!r}: {cell.strip()!r}")
 
 
 def load_csv(path, target_column: str) -> TimeSeriesFrame:
     """Parse a headered CSV into a frame; row order is preserved.
 
-    The first column is treated as a timestamp column when its first data
-    cell is non-numeric. Handles both LF and CRLF line endings and a
-    UTF-8 byte-order mark.
+    A cell is a number when `float(cell.strip())` accepts it. The first
+    column is treated as a timestamp column when its first data cell is not
+    a number. Handles both LF and CRLF line endings and a UTF-8 byte-order
+    mark. Value-column names must be unique.
 
-    Value cells are parsed in one bulk pass with Python's `float`, then
-    checked finite all at once. Only when that pass fails does a per-cell
-    loop run; it raises `CsvParseError` naming the file and the first
-    ragged row or bad cell in row-major order. Either way each value is
-    bitwise `float(cell.strip())`.
+    Value cells are parsed in one bulk pass with that rule, then checked
+    finite all at once, so each value is bitwise `float(cell.strip())`.
+    Only when that pass fails does a row-major scan run, to raise
+    `CsvParseError` naming the file and the first ragged row or bad cell.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -155,18 +134,30 @@ def load_csv(path, target_column: str) -> TimeSeriesFrame:
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     header = [h.strip() for h in header]
-    has_timestamp = len(header) > 1 and not _is_numeric(rows[0][0])
+    try:
+        next(_numbers(rows[0]))
+        has_timestamp = False
+    except ValueError:
+        has_timestamp = len(header) > 1
     value_cols = header[1:] if has_timestamp else header
+    repeated = [name for name, count in Counter(value_cols).items() if count > 1]
+    if repeated:
+        raise SchemaError(f"{path}: duplicate column {repeated[0]!r} in header")
     if target_column not in value_cols:
         raise SchemaError(f"{path}: target column {target_column!r} not found in header")
 
-    values = _parse_bulk(rows, len(header), len(value_cols))
-    if values is None:
-        values = _parse_rows(path, rows, len(header), value_cols)
+    width, offset = len(header), len(header) - len(value_cols)
+    values = None
+    if all(len(row) == width for row in rows):
+        cells = chain.from_iterable(row[offset:] for row in rows)
+        with suppress(ValueError):
+            values = np.fromiter(_numbers(cells), np.float64, len(rows) * len(value_cols))
+    if values is None or not np.isfinite(values).all():
+        _raise_first_fault(path, rows, width, value_cols)
 
     return TimeSeriesFrame(
         columns=tuple(value_cols),
-        values=values,
+        values=values.reshape(len(rows), len(value_cols)),
         target=target_column,
         timestamps=tuple(row[0] for row in rows) if has_timestamp else None,
     )
@@ -176,15 +167,13 @@ def load_csv(path, target_column: str) -> TimeSeriesFrame:
 class SplitSpec:
     """Contiguous train/val/test partition specification.
 
-    Three modes: fractional ratios (floor for train and val boundaries,
-    remainder to test), month counts at a fixed 30-day month for a known
-    sampling frequency, or explicit row boundaries.
+    Either fractional ratios (floor for train and val boundaries, remainder
+    to test) or row boundaries. Month counts at a fixed 30-day month for a
+    known sampling frequency become row boundaries, checked by `split` like
+    any other.
     """
 
-    mode: str
     fractions: tuple[float, float, float] | None = None
-    months: tuple[int, int, int] | None = None
-    rows_per_month: int | None = None
     boundaries: tuple[int, int] | None = None
 
     @staticmethod
@@ -194,7 +183,7 @@ class SplitSpec:
                 f"split fractions must be positive and sum to 1, got "
                 f"({train}, {val}, {test})"
             )
-        return SplitSpec(mode="ratio", fractions=(train, val, test))
+        return SplitSpec(fractions=(train, val, test))
 
     @staticmethod
     def by_months(train: int, val: int, test: int, frequency: str) -> "SplitSpec":
@@ -203,26 +192,20 @@ class SplitSpec:
                 f"unknown frequency {frequency!r}; known: {sorted(_FREQUENCY_ROWS_PER_DAY)}"
             )
         rows = _FREQUENCY_ROWS_PER_DAY[frequency] * DAYS_PER_MONTH
-        return SplitSpec(mode="months", months=(train, val, test), rows_per_month=rows)
+        return SplitSpec(boundaries=(train * rows, (train + val) * rows))
 
     @staticmethod
     def rows(train_end: int, val_end: int) -> "SplitSpec":
         if not 0 < train_end < val_end:
             raise InvalidParameterError("row boundaries must satisfy 0 < train_end < val_end")
-        return SplitSpec(mode="rows", boundaries=(train_end, val_end))
+        return SplitSpec(boundaries=(train_end, val_end))
 
     def cut_points(self, n_rows: int) -> tuple[int, int]:
-        if self.mode == "ratio":
-            train, val, _ = self.fractions
-            train_end = int(n_rows * train)
-            val_end = train_end + int(n_rows * val)
-        elif self.mode == "months":
-            train_m, val_m, _ = self.months
-            train_end = train_m * self.rows_per_month
-            val_end = train_end + val_m * self.rows_per_month
-        else:
-            train_end, val_end = self.boundaries
-        return train_end, val_end
+        if self.fractions is None:
+            return self.boundaries
+        train, val, _ = self.fractions
+        train_end = int(n_rows * train)
+        return train_end, train_end + int(n_rows * val)
 
 
 def split(frame: TimeSeriesFrame, spec: SplitSpec) -> tuple[TimeSeriesFrame, TimeSeriesFrame, TimeSeriesFrame]:

@@ -136,14 +136,17 @@ class TestBadInput:
 
     @pytest.mark.parametrize("case", ["data_is_dir", "config_is_dir", "out_dir_is_file",
                                       "csv_not_utf8", "csv_cell_too_long", "csv_ragged_row",
-                                      "csv_bad_cell", "config_not_utf8"])
+                                      "csv_bad_cell", "csv_non_finite_cell",
+                                      "csv_duplicate_column", "config_not_utf8"])
     def test_unreadable_file_exits_with_one_line_naming_it(self, tmp_path, dataset, capsys,
                                                            case):
         bad = tmp_path / "bad.txt"
         bodies = {"csv_not_utf8": b"A,OT\n1,\xff\n",
                   "csv_cell_too_long": b"A,OT\n1," + b"9" * 200_000 + b"\n",
                   "csv_ragged_row": b"A,OT\n1,2\n3,4,5\n",
-                  "csv_bad_cell": b"A,OT\n1,abc\n"}
+                  "csv_bad_cell": b"A,OT\n1,abc\n",
+                  "csv_non_finite_cell": b"A,OT\n1,inf\n",
+                  "csv_duplicate_column": b"date,OT,OT\nd0,1,2\n"}
         bad.write_bytes(bodies.get(case, b"l_in=\xff\n"))
         named, argv = {
             "data_is_dir": (tmp_path, ["kstest", "--data", str(tmp_path)]),
@@ -154,6 +157,8 @@ class TestBadInput:
             "csv_cell_too_long": (bad, ["kstest", "--data", str(bad)]),
             "csv_ragged_row": (bad, ["kstest", "--data", str(bad)]),
             "csv_bad_cell": (bad, ["kstest", "--data", str(bad)]),
+            "csv_non_finite_cell": (bad, ["kstest", "--data", str(bad)]),
+            "csv_duplicate_column": (bad, ["kstest", "--data", str(bad)]),
             "config_not_utf8": (bad, ["params", "--config", str(bad)]),
         }[case]
         assert main(argv) == 1

@@ -34,6 +34,21 @@ class TestLoadCsv:
         assert np.array_equal(frame.values, [[1, 4], [2, 5], [3, 6]])
         assert frame.timestamps is None
 
+    def test_padded_first_cell_is_a_number_not_a_timestamp(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,OT\n\x1c1,2\n3,4\n")
+        frame = load_csv(p, "OT")
+        assert frame.columns == ("a", "OT")
+        assert frame.timestamps is None
+        assert np.array_equal(frame.values, [[1, 2], [3, 4]])
+
+    def test_duplicate_column_names_it(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("date,OT,OT\nd0,1,2\n")
+        with pytest.raises(SchemaError) as raised:
+            load_csv(p, "OT")
+        assert str(raised.value) == f"{p}: duplicate column 'OT' in header"
+
     def test_missing_target_names_it(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n")

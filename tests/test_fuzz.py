@@ -124,8 +124,6 @@ def numeric_csv(draw):
     columns = [f"c{i}" for i in range(n_cols - 1)] + ["OT"]
     cells = [[draw(NUMERIC_CELLS) for _ in range(n_cols)] for _ in range(n_rows)]
     padded = [[draw(PAD) + cell + draw(PAD) for cell in row] for row in cells]
-    if not dated:  # an undated file's first cell must parse unstripped, or it reads as a date
-        padded[0][0] = cells[0][0]
     stamps = [draw(st.from_regex(r"\A20[0-9]{2}-[01][0-9]-[0-3][0-9]( [0-2][0-9]:00)?\Z"))
               for _ in range(n_rows)] if dated else None
     lines = [",".join((["date"] if dated else []) + columns)]
