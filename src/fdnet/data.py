@@ -168,13 +168,14 @@ class SplitSpec:
     """Contiguous train/val/test partition specification.
 
     Either fractional ratios (floor for train and val boundaries, remainder
-    to test) or row boundaries. Month counts at a fixed 30-day month for a
-    known sampling frequency become row boundaries, checked by `split` like
-    any other.
+    to test) or row boundaries (train_end, val_end, test_end), test_end None
+    meaning the last row. Month counts at a fixed 30-day month for a known
+    sampling frequency become all three, so rows after the test months go
+    unused; `split` checks them like any other.
     """
 
     fractions: tuple[float, float, float] | None = None
-    boundaries: tuple[int, int] | None = None
+    boundaries: tuple[int, int, int | None] | None = None
 
     @staticmethod
     def ratio(train: float = 0.7, val: float = 0.1, test: float = 0.2) -> "SplitSpec":
@@ -191,33 +192,38 @@ class SplitSpec:
             raise InvalidParameterError(
                 f"unknown frequency {frequency!r}; known: {sorted(_FREQUENCY_ROWS_PER_DAY)}"
             )
+        if min(train, val, test) < 1:
+            raise InvalidParameterError(f"month counts must be >= 1, got ({train}, {val}, {test})")
         rows = _FREQUENCY_ROWS_PER_DAY[frequency] * DAYS_PER_MONTH
-        return SplitSpec(boundaries=(train * rows, (train + val) * rows))
+        return SplitSpec(boundaries=(train * rows, (train + val) * rows,
+                                     (train + val + test) * rows))
 
     @staticmethod
     def rows(train_end: int, val_end: int) -> "SplitSpec":
         if not 0 < train_end < val_end:
             raise InvalidParameterError("row boundaries must satisfy 0 < train_end < val_end")
-        return SplitSpec(boundaries=(train_end, val_end))
+        return SplitSpec(boundaries=(train_end, val_end, None))
 
-    def cut_points(self, n_rows: int) -> tuple[int, int]:
+    def cut_points(self, n_rows: int) -> tuple[int, int, int]:
+        """(train_end, val_end, test_end) for a frame of `n_rows` rows."""
         if self.fractions is None:
-            return self.boundaries
+            train_end, val_end, test_end = self.boundaries
+            return train_end, val_end, n_rows if test_end is None else test_end
         train, val, _ = self.fractions
         train_end = int(n_rows * train)
-        return train_end, train_end + int(n_rows * val)
+        return train_end, train_end + int(n_rows * val), n_rows
 
 
 def split(frame: TimeSeriesFrame, spec: SplitSpec) -> tuple[TimeSeriesFrame, TimeSeriesFrame, TimeSeriesFrame]:
     """Cut the frame into contiguous, order-preserving train/val/test pieces."""
-    train_end, val_end = spec.cut_points(frame.n_rows)
-    if not 0 < train_end < val_end < frame.n_rows:
+    train_end, val_end, test_end = spec.cut_points(frame.n_rows)
+    if not 0 < train_end < val_end < test_end <= frame.n_rows:
         raise InvalidSplitError(
-            f"split boundaries ({train_end}, {val_end}) leave an empty piece "
-            f"for {frame.n_rows} rows"
+            f"split boundaries ({train_end}, {val_end}, {test_end}) leave an empty piece "
+            f"or pass the end of {frame.n_rows} rows"
         )
     return (frame.rows(0, train_end), frame.rows(train_end, val_end),
-            frame.rows(val_end, frame.n_rows))
+            frame.rows(val_end, test_end))
 
 
 @dataclass

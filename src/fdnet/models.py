@@ -35,8 +35,8 @@ reduces oldest-to-newest and every gradient accumulates in the serial
 order, so results and gradients are bitwise the same.
 
 Batch halves run the serial branch loop on x[:B//2] and x[B//2:] as
-`_run_two`'s functions, and `tensor.concat` joins the prediction, branch
-outputs and representations. A train forward runs the second half on a deep
+`_run_two`'s functions, and `tensor.concat` joins the prediction and the
+branch outputs only. A train forward runs the second half on a deep
 copy of the branches holding twin parameter leaves (`Tensor.twin`), whose
 gradients backward adds into the parameters' after the first half's, and
 `tensor.TailGenerator` copies of each dropout generator, which skip the
@@ -46,6 +46,10 @@ round apart from the whole batch's (FUNet at L_in 672, V=1, embed 32, B=16)
 and a train step's gradients are a sum of two halves, so the split depends
 on the plan and the input's shape alone, never on the CPU count: one-CPU and
 two-CPU outputs and gradients stay bitwise equal.
+
+`representations()` runs only the embeddings and block stacks: no head, no
+branch sum, no join. It never splits the batch; a large input runs branch
+lanes at every plan with a cut, bitwise each `_Branch.representation`.
 """
 
 from __future__ import annotations
@@ -199,25 +203,15 @@ class _Branch(Module):
             h = block.forward(h, mode)
         return h
 
-    def forward(self, x_slice: Tensor, mode: str) -> tuple[Tensor, Tensor]:
+    def forward(self, x_slice: Tensor, mode: str) -> Tensor:
         h = self.representation(x_slice, mode)
         batch, d, length, variates = h.shape
         # channel-major flatten: feature index = channel * length + time
-        flat = T.reshape(h, (batch, d * length, variates))
-        return self.head.forward(flat), h
+        return self.head.forward(T.reshape(h, (batch, d * length, variates)))
 
 
-def _run_branches(pairs, mode: str) -> list[tuple[Tensor, Tensor]]:
-    return [branch.forward(x_slice, mode) for branch, x_slice in pairs]
-
-
-def _sum_branches(results):
-    """(pred, branch outputs, representations); pred sums oldest to newest."""
-    outputs = [y for y, _ in results]
-    pred = outputs[0]
-    for y in outputs[1:]:
-        pred = T.add(pred, y)
-    return pred, outputs, [h for _, h in results]
+def _each(pairs, fn) -> list[Tensor]:
+    return [fn(branch, x_slice) for branch, x_slice in pairs]
 
 
 class _FocalModel(Module):
@@ -284,32 +278,36 @@ class _FocalModel(Module):
 
     def forward(self, x: Tensor, mode: str = "eval") -> tuple[Tensor, list[Tensor]]:
         """Predict (B, L_out, V); also return the per-branch predictions."""
-        pred, branch_outputs, _ = self._run(x, mode)
-        return pred, branch_outputs
+        self._check_input(x)
+        if x.shape[0] >= 4 and self._halves and not x.requires_grad and self._large(x):
+            return self._forward_halves(x, mode)
+        outputs = self._lanes(x, lambda branch, x_slice: branch.forward(x_slice, mode))
+        return functools.reduce(T.add, outputs), outputs
 
     def representations(self, x: Tensor, mode: str = "eval") -> list[Tensor]:
-        """Per-branch post-stack features, for export and analysis."""
-        _, _, reprs = self._run(x, mode)
-        return reprs
+        """Per-branch post-stack features (B, D, out_length, V), for export and analysis.
 
-    def _run(self, x: Tensor, mode: str):
+        Runs no head, branch sum or join, and never splits the batch (see
+        the module docstring).
+        """
         self._check_input(x)
+        return self._lanes(x, lambda branch, x_slice: branch.representation(x_slice, mode))
+
+    def _large(self, x: Tensor) -> bool:
         batch, _, l_in, variates = x.shape
-        large = batch * l_in * variates * self.embed_dim >= PARALLEL_MIN_ELEMENTS
-        if large and batch >= 4 and self._halves and not x.requires_grad:
-            return self._run_halves(x, mode)
-        if self._cut == 0 or not large:
-            return self._run_serial(x, mode)
+        return batch * l_in * variates * self.embed_dim >= PARALLEL_MIN_ELEMENTS
+
+    def _lanes(self, x: Tensor, fn) -> list[Tensor]:
+        """fn(branch, its slice) for each branch, in branch order: as branch lanes
+        when the input is large and the branches have a cut, else serially."""
         pairs = list(zip(self.branches, slice_input(x, self.plan)))
-        head, tail = T._run_two(functools.partial(_run_branches, pairs[:self._cut], mode),
-                                functools.partial(_run_branches, pairs[self._cut:], mode))
-        return _sum_branches(head + tail)
+        if self._cut == 0 or not self._large(x):
+            return _each(pairs, fn)
+        head, tail = T._run_two(functools.partial(_each, pairs[:self._cut], fn),
+                                functools.partial(_each, pairs[self._cut:], fn))
+        return head + tail
 
-    def _run_serial(self, x: Tensor, mode: str, branches=None):
-        pairs = zip(branches or self.branches, slice_input(x, self.plan))
-        return _sum_branches(_run_branches(pairs, mode))
-
-    def _run_halves(self, x: Tensor, mode: str):
+    def _forward_halves(self, x: Tensor, mode: str):
         """The serial loop on each batch half, as `_run_two`'s two functions, joined.
 
         Windows are independent. However `_run_two` runs the halves, every
@@ -324,13 +322,17 @@ class _FocalModel(Module):
             memo = {id(p): p.twin() for p in self.parameters()}
             memo.update((id(rng), clone) for rng, clone in clones.items())
             branches = copy.deepcopy(self.branches, memo)
-        (pa, ya, ha), (pb, yb, hb) = T._run_two(
-            functools.partial(self._run_serial, Tensor(x.data[:lead]), mode),
-            functools.partial(self._run_serial, Tensor(x.data[lead:]), mode, branches))
+
+        def half(group, data):  # the serial branch loop, summed oldest to newest
+            outputs = [branch.forward(x_slice, mode)
+                       for branch, x_slice in zip(group, slice_input(Tensor(data), self.plan))]
+            return functools.reduce(T.add, outputs), outputs
+
+        (pa, ya), (pb, yb) = T._run_two(functools.partial(half, self.branches, x.data[:lead]),
+                                        functools.partial(half, branches, x.data[lead:]))
         for rng, clone in clones.items():
             rng.bit_generator.state = clone.bit_generator.state
-        return (T.concat((pa, pb)), list(map(T.concat, zip(ya, yb))),
-                list(map(T.concat, zip(ha, hb))))
+        return T.concat((pa, pb)), list(map(T.concat, zip(ya, yb)))
 
     def param_count(self) -> dict[str, int]:
         """Exact parameter tallies by group, via tensor enumeration."""

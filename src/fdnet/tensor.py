@@ -27,9 +27,8 @@ gradient once its closure has run, so every activation is released as soon as
 backward is done with it and a spent graph is reclaimed by reference counting
 alone. A node's closure reaches the node through a weak reference, so no
 node is in a reference cycle and a graph that is never backpropagated goes
-with its last reference. A graph can be backpropagated once; a second
-`backward()` through it raises, and `release_graph` frees a graph that will
-not be backpropagated while its root is still referenced. Grad mode
+with its last reference; nothing else frees it. A graph can be
+backpropagated once; a second `backward()` through it raises. Grad mode
 (`no_grad`) and op hooks (`op_hook`) live in one `ContextVar`, so both are
 context-local: neither reaches ops recorded in another thread or asyncio
 task, and separate graphs may be built from separate threads.
@@ -152,9 +151,10 @@ def op_hook(fn: Callable[[Tensor], None]):
     A hook may read `out._op` and wrap `out._backward` (None when no graph
     was recorded for the op). Hooks run in the order they were entered. A
     model forward that splits its batch (see `fdnet.models`) runs each op
-    once per half and joins the halves with `concat`, so a hook sees both
-    halves' ops and the joins, from two threads only when that forward's
-    `_run_two` got the helper thread.
+    once per half and joins the halves' predictions and branch outputs, and
+    nothing else, with `concat`, so a hook sees both halves' ops and those
+    joins, from two threads only when that forward's `_run_two` got the
+    helper thread.
     """
     with _scoped(hooks=_state.get().hooks + (fn,)):
         yield
@@ -411,12 +411,6 @@ def _split_lanes(order: list[Tensor]) -> tuple[list[Tensor], ...] | None:
     return parts if parts[1] and parts[2] else None
 
 
-def _release(node: Tensor):
-    node._backward = None
-    node._parents = ()
-    node.grad = None
-
-
 def _backprop(nodes: list[Tensor]):
     """Pop `nodes` from the end, running and then releasing each recorded one."""
     while nodes:
@@ -425,18 +419,9 @@ def _backprop(nodes: list[Tensor]):
             continue
         if node.grad is not None:
             node._backward()
-        _release(node)
-
-
-def release_graph(root: Tensor):
-    """Free the graph under `root` without backpropagating it.
-
-    Each recorded node is released as backward releases it, so the graph
-    goes by reference counting alone, not the cyclic garbage collector.
-    """
-    for node in _toposort(root):
-        if node._backward is not None:
-            _release(node)
+        node._backward = None
+        node._parents = ()
+        node.grad = None
 
 
 def _as_tensor(x) -> Tensor:
@@ -1026,20 +1011,20 @@ def grad_check(f: Callable[[], Tensor], points: Sequence[Tensor] | Tensor) -> fl
 
     h = 1e-5
     worst = 0.0
-    for p, ga in zip(points, analytic):
-        flat = p.data.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            with no_grad():
+    with no_grad():
+        for p, ga in zip(points, analytic):
+            flat = p.data.reshape(-1)
+            gflat = ga.reshape(-1)
+            for i in range(flat.size):
+                saved = flat[i]
                 flat[i] = saved + h
                 up = f().data.item()
                 flat[i] = saved - h
                 down = f().data.item()
-            flat[i] = saved
-            if not (math.isfinite(up) and math.isfinite(down)):
-                raise NumericError("grad_check: non-finite evaluation during differencing")
-            numeric = (up - down) / (2.0 * h)
-            err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
-            worst = max(worst, err)
+                flat[i] = saved
+                if not (math.isfinite(up) and math.isfinite(down)):
+                    raise NumericError("grad_check: non-finite evaluation during differencing")
+                numeric = (up - down) / (2.0 * h)
+                err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
+                worst = max(worst, err)
     return worst

@@ -164,10 +164,11 @@ def train(model, train_windows: WindowSampler, val_windows: WindowSampler,
         for start in range(0, len(order), config.batch_size):
             xb, yb = train_windows.batch(order[start : start + config.batch_size])
             optimizer.zero_grad()
-            pred, _ = model.forward(Tensor(xb), "train")
-            loss = mse_loss(pred, Tensor(yb))
+            # no other name holds the step's graph, so it goes with `loss`,
+            # even when the caller keeps the exception and its frames
+            loss = mse_loss(model.forward(Tensor(xb), "train")[0], Tensor(yb))
             if not np.isfinite(loss.data):
-                T.release_graph(loss)
+                del loss
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {result.steps}"
                 )

@@ -117,13 +117,23 @@ class TestSplit:
         assert train.values[0, 0] == 0 and test.values[-1, -1] == 199
 
     def test_months_mode_hourly(self):
-        # 12/4/4 months at 30-day months and 24 rows/day
-        total = 20 * 30 * 24
+        # 12/4/4 months at 30-day months and 24 rows/day; the 4 months after
+        # month 20 go unused, as in Informer's ETT split
+        total = 24 * 30 * 24
         frame = frame_from(np.arange(total, dtype=float).reshape(total, 1))
         train, val, test = split(frame, SplitSpec.by_months(12, 4, 4, "1h"))
-        assert train.n_rows == 8640
-        assert val.n_rows == 11520 - 8640
-        assert train.n_rows + val.n_rows + test.n_rows == total
+        assert (train.n_rows, val.n_rows, test.n_rows) == (8640, 2880, 2880)
+        assert test.values[-1, 0] == 20 * 30 * 24 - 1
+
+    def test_months_past_the_file_rejected(self):
+        frame = frame_from(np.zeros((24 * 30 * 24, 1)))
+        with pytest.raises(InvalidSplitError):
+            split(frame, SplitSpec.by_months(12, 4, 999, "1h"))
+
+    @pytest.mark.parametrize("months", [(0, 4, 4), (12, 0, 4), (12, 4, 0), (12, -1, 4)])
+    def test_month_count_below_one_rejected(self, months):
+        with pytest.raises(InvalidParameterError):
+            SplitSpec.by_months(*months, "1h")
 
     def test_explicit_rows(self):
         frame = frame_from(np.arange(50, dtype=float).reshape(50, 1))

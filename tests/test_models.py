@@ -369,13 +369,18 @@ def lanes_model(seed=11):
 
 
 def serial_run(model, x, mode):
-    """The plain one-thread loop over branch.forward that _run must reproduce."""
-    results = [branch.forward(s, mode) for branch, s in zip(model.branches,
-                                                            slice_input(x, model.plan))]
-    pred = results[0][0]
-    for y, _ in results[1:]:
+    """The plain one-thread branch loop that forward must reproduce, with each branch's
+    representation: (prediction, branch outputs, representations)."""
+    outputs, reprs = [], []
+    for branch, s in zip(model.branches, slice_input(x, model.plan)):
+        h = branch.representation(s, mode)
+        batch, d, length, variates = h.shape
+        outputs.append(branch.head.forward(T.reshape(h, (batch, d * length, variates))))
+        reprs.append(h)
+    pred = outputs[0]
+    for y in outputs[1:]:
         pred = T.add(pred, y)
-    return pred, [y for y, _ in results], [h for _, h in results]
+    return pred, outputs, reprs
 
 
 def train_grads(model, pred):
@@ -464,14 +469,14 @@ class TestBranchThreads:
 
     def test_op_hook_sees_the_serial_ops(self):
         # FUNet's train forward runs each op once per batch half, then joins
-        # the prediction and each branch's output and representation
+        # the prediction and each branch's output
         model, x = big_model("funet")
         seen, ref = [], []
         with T.op_hook(lambda out: seen.append(out._op)):
             model.forward(x, "train")
         with T.op_hook(lambda out: ref.append(out._op)):
             serial_run(model, x, "train")
-        joins = collections.Counter(concat=1 + 2 * len(model.branches))
+        joins = collections.Counter(concat=1 + len(model.branches))
         assert collections.Counter(seen) == collections.Counter(ref * 2) + joins
 
     def test_threads_used_match_usable_cpus(self):
@@ -507,6 +512,31 @@ class TestBranchThreads:
         assert np.array_equal(pred.data, ref_pred.data)
         assert all_equal([o.data for o in outputs], [o.data for o in ref_outputs])
         assert all_equal([h.data for h in reprs], [h.data for h in ref_reprs])
+
+    @pytest.mark.parametrize("make", [functools.partial(big_model, "funet"), lanes_model],
+                             ids=["halves_plan", "lanes_plan"])
+    def test_representations_run_branch_lanes_without_heads_or_joins(self, make):
+        # grad mode records each op's parents, so an op reading a head
+        # parameter shows; the walk over branch.representation is the reference
+        model, x = make()
+        head_params = {id(p) for branch in model.branches for p in branch.head.parameters()}
+        seen, head_ops, idents, ref_ops = [], [], set(), []
+
+        def hook(out):
+            seen.append(out._op)
+            idents.add(threading.get_ident())
+            if any(id(p) in head_params for p in out._parents):
+                head_ops.append(out._op)
+
+        with T.op_hook(hook):
+            reprs = model.representations(x, "eval")
+        with T.op_hook(lambda out: ref_ops.append(out._op)):
+            ref = [branch.representation(s, "eval")
+                   for branch, s in zip(model.branches, slice_input(x, model.plan))]
+        assert "concat" not in seen and head_ops == []
+        assert collections.Counter(seen) == collections.Counter(ref_ops)
+        assert len(idents) == min(2, T._usable_cpus())
+        assert all_equal([h.data for h in reprs], [h.data for h in ref])
 
     def test_one_and_two_cpus_run_branch_lanes_alike(self, monkeypatch):
         runs = []
@@ -738,12 +768,11 @@ class TestTrainBatchSplit:
         assert model._halves
         x = self.above_gate(monkeypatch, model, x, batch)
         for _ in range(2):
-            pred, outputs, reprs = model._run(x, "train")
-            ref_pred, ref_outputs, ref_reprs = serial_run(twin, x, "train")
+            pred, outputs = model.forward(x, "train")
+            ref_pred, ref_outputs, _ = serial_run(twin, x, "train")
             assert pred._op == "concat"
             assert np.array_equal(pred.data, ref_pred.data)
             assert all_equal([o.data for o in outputs], [o.data for o in ref_outputs])
-            assert all_equal([h.data for h in reprs], [h.data for h in ref_reprs])
             assert drop_states(model) == drop_states(twin)
             assert all_close(train_grads(model, pred), train_grads(twin, ref_pred))
 

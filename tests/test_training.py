@@ -305,12 +305,14 @@ class TestTrain:
         try:
             with (np.errstate(over="ignore", invalid="ignore"),
                   T.op_hook(lambda out: refs.append(weakref.ref(out)))):
-                with pytest.raises(TrainingDivergedError):
+                # the kept exception holds train's frame through its traceback
+                with pytest.raises(TrainingDivergedError) as excinfo:
                     train(model, tw, vw, cfg)
             alive = [r for r in refs if r() is not None]
         finally:
             if was_enabled:
                 gc.enable()
+        assert excinfo.value.__traceback__ is not None
         assert len(refs) > 50 and alive == []
 
     def test_restores_best_params(self):
