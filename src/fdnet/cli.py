@@ -301,16 +301,16 @@ def cmd_params(cfg: RunConfig) -> int:
 
 def cmd_export_repr(cfg: RunConfig) -> int:
     ckpt, frame, x = _window_at(cfg)
-    with no_grad():
-        reprs = ckpt.model.representations(x, "eval")
-    target_idx = frame.target_index()
+    target = frame.target_index()
+    with no_grad():  # no layer mixes variates, so the target's column alone will do
+        reprs = ckpt.model.representations(Tensor(x.data[..., target:target + 1]), "eval")
     d = ckpt.config["embed_dim"]
     out = _out_dir(cfg)
     path = out / "representations.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("branch,time_index," + ",".join(f"f{k}" for k in range(d)) + "\n")
         for branch_idx, rep in enumerate(reprs):
-            features = rep.data[0, :, :, target_idx]  # (D, length)
+            features = rep.data[0, :, :, 0]  # (D, length)
             for t in range(features.shape[1]):
                 cells = ",".join(repr(float(features[k, t])) for k in range(d))
                 fh.write(f"{branch_idx},{t},{cells}\n")

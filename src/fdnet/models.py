@@ -97,13 +97,6 @@ def halved_length(length: int) -> int:
     return (length - 1) // 2 + 1
 
 
-def stack_output_length(length: int, depth: int) -> int:
-    """Length after `depth` downsampling blocks."""
-    for _ in range(depth):
-        length = halved_length(length)
-    return length
-
-
 class DFEInitialBlock(Module):
     """Four weight-normalized convs (1x1, 3x1, 1x1, 3x1) with two residuals.
 

@@ -757,6 +757,9 @@ class TailGenerator(np.random.Generator):
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: train mode zeroes elements w.p. p and rescales by 1/(1-p).
 
+    Train mode keeps a bool mask, `rng.random(shape) >= p`, and multiplies by
+    it before the scale, so it rounds as a float mask on every input (scaling
+    first makes NaN of a dropped x whose product with the scale overflows).
     Eval mode (and p == 0) is the exact identity and consumes no randomness:
     the output shares the input's array (no op writes activations in place)
     and is still recorded as a dropout node.
@@ -770,15 +773,18 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
         return _op("dropout", x.data, (x,), _same)
     if rng is None:
         raise InvalidParameterError("dropout in train mode requires an rng")
-    mask = np.empty(x.shape)
     if isinstance(rng, TailGenerator):
         # random() below takes one PCG64 step per double, windows on axis 0
         rng.bit_generator.advance(rng.lead * math.prod(x.shape[1:]))
-    # in place, with the draws and roundings of (rng.random(shape) >= p) * (1 / (1 - p))
-    rng.random(out=mask)
-    np.greater_equal(mask, p, out=mask)
-    mask *= 1.0 / (1.0 - p)
-    return _op("dropout", x.data * mask, (x,), lambda g: g * mask)
+    keep = rng.random(x.shape) >= p
+    scale = 1.0 / (1.0 - p)
+
+    def masked(a):
+        out = a * keep
+        out *= scale
+        return out
+
+    return _op("dropout", masked(x.data), (x,), masked)
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:

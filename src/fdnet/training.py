@@ -51,10 +51,10 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def lr_for_epoch(base_lr: float, epoch: int) -> float:
-    """Halve-per-epoch schedule: base_lr / 2**epoch."""
+    """Halve-per-epoch schedule: base_lr / 2**epoch, exactly, at any epoch."""
     if epoch < 0:
         raise InvalidParameterError(f"epoch must be >= 0, got {epoch}")
-    return base_lr / (2.0 ** epoch)
+    return math.ldexp(base_lr, -epoch)
 
 
 class Adam:

@@ -13,7 +13,7 @@ from fdnet.data import SplitSpec, Standardizer, TimeSeriesFrame, load_csv, make_
 from fdnet.focal import make_focal_plan
 from fdnet.kstest import ecdf_sup_distance, ks_p_value, ks_reject_threshold, shift_report
 from fdnet.metrics import mase, owa, smape
-from fdnet.models import build_model, stack_output_length
+from fdnet.models import build_model, halved_length
 from fdnet.tensor import Tensor
 from fdnet.training import TrainConfig, evaluate_mse, train
 from fdnet.verification import run_gradient_checks
@@ -100,7 +100,9 @@ def test_criterion_3_structural_invariants_20_seeds():
                 # halving law for the downsampling stacks
                 for fu_branch, (length, depth) in zip(
                         fu.branches, zip(fu.plan.lengths, fu.plan.depths)):
-                    assert fu_branch.out_length == stack_output_length(length, depth)
+                    for _ in range(depth):
+                        length = halved_length(length)
+                    assert fu_branch.out_length == length
 
 
 def test_criterion_4_ks_oracle():

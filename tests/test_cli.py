@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fdnet.cli import RunConfig, main
+from fdnet.data import load_csv
 from fdnet.models import build_model
+from fdnet.tensor import Tensor, no_grad
 from fdnet.training import load_checkpoint
 
 
@@ -406,6 +408,28 @@ class TestExportReprCommand:
         assert len(lines) - 1 == expected_rows
         branches = [int(line.split(",")[0]) for line in lines[1:]]
         assert sorted(set(branches)) == [0, 1]
+
+    @pytest.mark.parametrize("variant", ["fdnet", "funet"])
+    def test_features_match_a_whole_window_run(self, tmp_path, dataset, variant):
+        # the export runs the target variate (OT, the second) alone; its
+        # features match the target's column of a whole-window run up to
+        # GEMM rounding
+        run, out = tmp_path / "run", tmp_path / "repr"
+        assert main(["train", "--data", dataset, "--target", "OT", "--out-dir", str(run),
+                     "--variant", variant, *TRAIN_FLAGS]) == 0
+        assert main(["export-repr", "--checkpoint", str(run / "checkpoint.ckpt"),
+                     "--data", dataset, "--target", "OT", "--at", "3",
+                     "--out-dir", str(out)]) == 0
+        rows = np.loadtxt(out / "representations.csv", delimiter=",", skiprows=1, ndmin=2)
+        ckpt = load_checkpoint(run / "checkpoint.ckpt")
+        frame = load_csv(dataset, "OT")
+        window = ckpt.standardizer.transform_values(frame.values[3 : 3 + ckpt.config["l_in"]])
+        with no_grad():
+            reprs = ckpt.model.representations(Tensor(window[np.newaxis, np.newaxis]))
+        expected = np.concatenate([rep.data[0, :, :, 1].T for rep in reprs])
+        np.testing.assert_array_equal(rows[:, :2], [
+            (b, t) for b, rep in enumerate(reprs) for t in range(rep.shape[2])])
+        np.testing.assert_allclose(rows[:, 2:], expected, rtol=1e-12, atol=0)
 
     def test_deterministic(self, tmp_path, dataset, trained):
         outs = []

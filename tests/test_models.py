@@ -30,9 +30,15 @@ from fdnet.models import (
     _streams,
     build_model,
     halved_length,
-    stack_output_length,
 )
 from fdnet.tensor import Tensor
+
+
+def halved_times(length, depth):
+    """The length after `depth` downsampling blocks."""
+    for _ in range(depth):
+        length = halved_length(length)
+    return length
 
 
 def make_block(kind, d=4, seed=0, heads=1):
@@ -212,7 +218,7 @@ class TestFUNetModel:
     def test_default_branch_lengths_all_21(self):
         model = build_model("funet", 672, 96, 5, 0.5, 5, 8, seed=4)
         assert [b.out_length for b in model.branches] == [21, 21, 21, 21, 21]
-        assert [stack_output_length(l, d) for l, d in
+        assert [halved_times(l, d) for l, d in
                 zip((336, 168, 84, 42, 42), (4, 3, 2, 1, 1))] == [21] * 5
 
     def test_forward_shape(self):
@@ -263,7 +269,7 @@ class TestFUNetModel:
                 continue
             for branch, (length, depth) in zip(model.branches,
                                                zip(model.plan.lengths, model.plan.depths)):
-                assert branch.out_length == stack_output_length(length, depth)
+                assert branch.out_length == halved_times(length, depth)
 
 
 class TestParamCount:

@@ -468,6 +468,16 @@ def _signed_zeros(rng, shape):
     return g
 
 
+def _with_extremes(rng, shape):
+    # _signed_zeros with finite values near +-1.7e308 (their products with
+    # dropout's scale overflow), infinities and NaN among them
+    a = _signed_zeros(rng, shape)
+    u = rng.random(shape)
+    big = rng.choice([-1.0, 1.0], size=shape) * rng.uniform(1.0e308, 1.79e308, size=shape)
+    special = rng.choice([np.inf, -np.inf, np.nan], size=shape)
+    return np.where(u < 0.3, big, np.where(u > 0.9, special, a))
+
+
 def _backprop_from(out, grad):
     # run backward from a non-scalar node with an exact upstream gradient
     out.grad = grad.copy()
@@ -540,12 +550,13 @@ class TestFusedOpOracle:
            p=st.floats(0.001, 0.999), seed=st.integers(0, 2**32 - 1))
     def test_dropout(self, shape, p, seed):
         rng = np.random.default_rng(seed)
-        x = T.Tensor(_signed_zeros(rng, shape), requires_grad=True)
-        gy = _signed_zeros(rng, shape)
+        x = T.Tensor(_with_extremes(rng, shape), requires_grad=True)
+        gy = _with_extremes(rng, shape)
         drop_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        y = T.dropout(x, p, "train", drop_rng)
-        _backprop_from(y, gy)
-        ry, rgx = _reference_dropout(x.data, p, ref_rng, gy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = T.dropout(x, p, "train", drop_rng)
+            _backprop_from(y, gy)
+            ry, rgx = _reference_dropout(x.data, p, ref_rng, gy)
         assert _bits_equal(y.data, np.asarray(ry))
         assert _bits_equal(x.grad, rgx)
         assert drop_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -612,6 +623,19 @@ class TestDropout:
             return T.tensor_sum(T.dropout(x, 0.3, "train", np.random.default_rng(77)))
 
         assert T.grad_check(f, x) < 1e-6
+
+    def test_keeps_a_one_byte_mask(self):
+        # what the op holds past its call: its output and a bool keep-mask
+        x = T.Tensor(np.ones((16, 8, 64, 64)), requires_grad=True)
+        rng = np.random.default_rng(8)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = T.dropout(x, 0.1, "train", rng)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before <= y.data.nbytes + x.data.size + 8 * 1024
 
     @pytest.mark.parametrize("batch, lead", [(5, 2), (8, 4), (3, 0), (2, 1)])
     def test_tail_generator_draws_the_whole_batch_tail(self, batch, lead):

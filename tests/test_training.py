@@ -208,6 +208,15 @@ class TestLrSchedule:
         with pytest.raises(InvalidParameterError):
             lr_for_epoch(1e-4, -1)
 
+    @pytest.mark.parametrize("base_lr", [1e-4, 3.7e-2])
+    def test_exact_halving_at_every_epoch(self, base_lr):
+        # bitwise base_lr / 2**epoch while 2**epoch is a float; past that,
+        # where 2.0 ** 1024 overflows, it goes on halving down to 0.0
+        for epoch in range(1024):
+            assert lr_for_epoch(base_lr, epoch).hex() == (base_lr / 2.0 ** epoch).hex()
+        tail = [lr_for_epoch(base_lr, epoch) for epoch in range(1024, 1200)]
+        assert tail == sorted(tail, reverse=True) and tail[-1] == 0.0
+
 
 class TestTrain:
     def test_overfit_sine_under_300_steps(self):
