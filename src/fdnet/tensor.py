@@ -16,22 +16,27 @@ over all windows (see `conv2d_time`), and attention does not round as its
 unfused chain (see `attention_time`).
 
 Graph representation: every op makes its output with `_op`, from one gradient
-function per parent (or one shared `backward(g)`, for `weight_norm` and
-`attention_time`). Each op builds those functions on every call. In grad
-mode, with a parent requiring grad, `_op` records the output as a graph node
-holding its parents and a backward closure over them, built only then.
-`Tensor.backward()` topologically sorts the reachable subgraph and
-accumulates gradients into `.grad`. Object identity is the node handle.
-Backward frees the graph as it goes: each node drops its closure, parents and
-gradient once its closure has run, so every activation is released as soon as
-backward is done with it and a spent graph is reclaimed by reference counting
-alone. A node's closure reaches the node through a weak reference, so no
-node is in a reference cycle and a graph that is never backpropagated goes
-with its last reference; nothing else frees it. A graph can be
-backpropagated once; a second `backward()` through it raises. Grad mode
-(`no_grad`) and op hooks (`op_hook`) live in one `ContextVar`, so both are
-context-local: neither reaches ops recorded in another thread or asyncio
-task, and separate graphs may be built from separate threads.
+function per parent (or one shared `backward(g, targets)`, for `weight_norm`
+and `attention_time`). Each op builds those functions on every call. In grad
+mode, with a parent requiring grad, `_op` gives the output a `_Node`: a
+gradient slot, the parents' routing targets (their nodes, or leaf Tensors),
+a backward closure built only then, and the lane. The output Tensor holds
+`.data` and its node; the node holds no array but its gradient. Gradient
+functions capture the arrays and shapes they read, never a parent Tensor,
+so an activation that no backward reads (a conv output feeding a residual
+add) goes with its last Python name while the forward still runs.
+`Tensor.backward()` topologically sorts the reachable nodes and accumulates
+gradients into leaf `.grad`. Backward frees the graph as it goes: each node
+drops its closure, parents and gradient once its closure has run, so every
+array a closure captured is released as soon as backward is done with it
+and a spent graph is reclaimed by reference counting alone. A node's
+closure reaches the node through a weak reference, so no node is in a
+reference cycle and a graph that is never backpropagated goes with its last
+reference; nothing else frees it. A graph can be backpropagated once; a
+second `backward()` through it raises. Grad mode (`no_grad`) and op hooks
+(`op_hook`) live in one `ContextVar`, so both are context-local: neither
+reaches ops recorded in another thread or asyncio task, and separate graphs
+may be built from separate threads.
 
 Two lanes: `_run_two(fn_a, fn_b)` runs fn_a on one persistent helper thread
 and fn_b on the caller, with numpy's OpenBLAS held at one thread, and each
@@ -261,22 +266,87 @@ def _run_two(fn_a: Callable[[], object], fn_b: Callable[[], object]) -> tuple:
     return head.result(), tail
 
 
-class Tensor:
-    """A float64 n-d array participating in a recorded computation graph."""
+def _memory_order(a: np.ndarray) -> tuple[int, ...] | None:
+    """`a`'s axes, outermost first, as `np.empty_like(a)` lays them out; None for C order.
 
-    # _run_two lane that recorded this node; leaves and nodes recorded
-    # outside _run_two keep this class default, lane 0 (the trunk)
-    _lane = 0
+    NumPy's rule: C order for a C-contiguous array (or one of rank 1 or
+    less), Fortran order for a Fortran-contiguous one, and otherwise axes by
+    decreasing absolute stride, ties in axis order.
+    """
+    if a.flags.c_contiguous or a.ndim <= 1:
+        return None
+    if a.flags.f_contiguous:
+        return tuple(range(a.ndim - 1, -1, -1))
+    return tuple(sorted(range(a.ndim), key=lambda axis: -abs(a.strides[axis])))
+
+
+class _Node:
+    """A recorded op's place in the graph; the op's output Tensor holds the data.
+
+    `parents` are the routing targets of the op's inputs, in input order:
+    the input's node, the input itself when it is a leaf that requires grad,
+    or None when no gradient goes to it. `backward` is a zero-argument
+    callable that hands `grad` on to them (hooks may wrap it). The only array
+    a node holds is `grad`; it keeps the output's shape and memory order so
+    that its first gradient is laid out as `np.empty_like(out.data)`.
+    """
+
+    __slots__ = ("grad", "parents", "backward", "lane", "shape", "order", "__weakref__")
+
+    def __init__(self, parents: tuple, lane: int, data: np.ndarray):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward: Callable[[], None] | None = None
+        self.lane = lane  # the _run_two lane that recorded it; 0 outside (the trunk)
+        self.shape = data.shape
+        self.order = _memory_order(data)
+
+    def _accumulate(self, g: np.ndarray):
+        if self.grad is None:
+            if self.order is None:
+                out = np.empty(self.shape)
+            else:
+                out = np.empty([self.shape[axis] for axis in self.order])
+                out = out.transpose(np.argsort(self.order))
+            self.grad = np.add(g, 0.0, out=out)  # as Tensor._accumulate
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """A float64 n-d array; an op's output also holds its graph node (see `_Node`)."""
+
+    # the node of a recorded op's output; leaves and unrecorded outputs have none
+    _node: _Node | None = None
     # the tensor a twin leaf's gradient goes to (see twin)
     _twin_of: Tensor | None = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._grad: np.ndarray | None = None
         self._op = "leaf"
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """A leaf's gradient, or an op output's node's while backward runs."""
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None):
+        if self._node is None:
+            self._grad = value
+        else:
+            self._node.grad = value
+
+    @property
+    def _backward(self) -> Callable[[], None] | None:
+        """The node's backward (None without a graph); op hooks may wrap it."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn: Callable[[], None]):
+        self._node.backward = fn
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -309,12 +379,12 @@ class Tensor:
         return twin
 
     def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
+        if self._grad is None:
             # g + 0.0 has the bits of 0.0 + g (IEEE addition commutes, signed
             # zeros too) and skips a pass that fills zeros
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            self._grad = np.add(g, 0.0, out=np.empty_like(self.data))
         else:
-            self.grad += g
+            self._grad += g
 
     def backward(self):
         """Reverse-mode pass from this scalar; populates `.grad` on leaves.
@@ -330,10 +400,10 @@ class Tensor:
         nodes recorded outside the lanes, runs first on this thread, and
         then `_run_two` runs each lane's nodes as one of its two functions.
         That happens only when it keeps every gradient's accumulation order:
-        the trunk pops before every lane node, a lane node's grad-requiring
-        parents are leaves or nodes of its own lane, and no leaf is a parent
-        in both lanes. Otherwise all nodes run here in one pass. Either way
-        gradients are bitwise the same.
+        the trunk pops before every lane node, a lane node's parents are
+        leaves or nodes of its own lane, and no leaf is a parent in both
+        lanes. Otherwise all nodes run here in one pass. Either way gradients
+        are bitwise the same.
 
         Twin leaves (see `twin`) then add their gradients into the tensors
         they twin, in topological order.
@@ -342,13 +412,14 @@ class Tensor:
             raise InvalidArgumentError(
                 f"backward requires a scalar loss, got shape {self.shape}"
             )
-        order = _toposort(self)
-        if any(n.requires_grad and n._backward is None and n._op != "leaf" for n in order):
+        root = self if self._node is None else self._node
+        order = _toposort(root)
+        if any(type(n) is _Node and n.backward is None for n in order):
             raise InvalidArgumentError(
                 "backward through a graph that an earlier backward already released"
             )
-        twins = [n for n in order if n._twin_of is not None]
-        self._accumulate(np.ones_like(self.data))
+        twins = [n for n in order if type(n) is Tensor and n._twin_of is not None]
+        root._accumulate(np.ones_like(self.data))
         parts = _split_lanes(order)
         if parts is None:
             _backprop(order)
@@ -363,11 +434,12 @@ class Tensor:
                 twin.grad = None
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
+def _toposort(root: _Node | Tensor) -> list[_Node | Tensor]:
+    """The nodes and leaves reachable from `root`, each after its parents."""
     # Iterative DFS: training graphs can be deep enough to bother recursion.
-    order: list[Tensor] = []
+    order: list[_Node | Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -377,50 +449,51 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
+        if type(node) is _Node:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in visited:
+                    stack.append((parent, False))
     return order
 
 
-def _split_lanes(order: list[Tensor]) -> tuple[list[Tensor], ...] | None:
-    """(trunk, lane 1, lane 2) subsequences of `order`'s recorded nodes, or None.
+def _split_lanes(order: list[_Node | Tensor]) -> tuple[list[_Node], ...] | None:
+    """(trunk, lane 1, lane 2) subsequences of `order`'s nodes, or None.
 
     None unless both lanes are non-empty and running the trunk, then each
     lane on its own, keeps every node's gradient accumulation order (see
     `Tensor.backward`).
     """
-    parts: tuple[list[Tensor], ...] = ([], [], [])
+    parts: tuple[list[_Node], ...] = ([], [], [])
     leaf_lanes: dict[int, int] = {}
     for node in order:  # parents first: the reverse of pop order
-        if node._backward is None:
+        if type(node) is not _Node:
             continue
-        lane = node._lane
+        lane = node.lane
         if lane:
             if parts[0]:
                 return None
-            for p in node._parents:
-                if not p.requires_grad:
+            for p in node.parents:
+                if p is None:
                     continue
-                if p._backward is None:
+                if type(p) is not _Node:
                     if leaf_lanes.setdefault(id(p), lane) != lane:
                         return None
-                elif p._lane != lane:
+                elif p.lane != lane:
                     return None
         parts[lane].append(node)
     return parts if parts[1] and parts[2] else None
 
 
-def _backprop(nodes: list[Tensor]):
+def _backprop(nodes: list[_Node | Tensor]):
     """Pop `nodes` from the end, running and then releasing each recorded one."""
     while nodes:
         node = nodes.pop()
-        if node._backward is None:
+        if type(node) is not _Node:
             continue
         if node.grad is not None:
-            node._backward()
-        node._backward = None
-        node._parents = ()
+            node.backward()
+        node.backward = None
+        node.parents = ()
         node.grad = None
 
 
@@ -428,28 +501,37 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _route(grad_fns, g: np.ndarray, targets: tuple):
+    """Hand each target `grad_fn(g)`, in parent order, skipping None targets."""
+    for target, grad_fn in zip(targets, grad_fns):
+        if target is not None:
+            target._accumulate(grad_fn(g))
+
+
 def _op(op: str, data, parents: tuple[Tensor, ...], *grad_fns, backward=None) -> Tensor:
     """Make op `op`'s output from `data`, and record it for backward if it needs a graph.
 
     `grad_fns` pair with `parents`: backward hands each parent that requires
     grad `grad_fn(out.grad)`, in parent order. An op whose parents' gradients
-    come from one shared pass gives `backward(g)` instead.
+    come from one shared pass gives `backward(g, targets)` instead, which
+    calls `target._accumulate(grad)` for each target that is not None
+    (targets pair with parents; see `_Node`). Either way the functions
+    capture the arrays and shapes they read, never a parent Tensor, so an
+    input that backward does not read goes with its last name.
     """
     out = Tensor(data)
     out._op = op
     state = _state.get()
     if state.grad and any(p.requires_grad for p in parents):
-        # default arguments, not closure cells: _op would make the cells on every call
+        targets = tuple(p._node if p._node is not None else p if p.requires_grad else None
+                        for p in parents)
         if backward is None:
-            def backward(g, parents=parents, grad_fns=grad_fns):
-                for parent, grad_fn in zip(parents, grad_fns):
-                    if parent.requires_grad:
-                        parent._accumulate(grad_fn(g))
+            backward = functools.partial(_route, grad_fns)
         out.requires_grad = True
-        out._parents = parents
+        out._node = node = _Node(targets, state.lane, out.data)
         # a weak reference, so that no node is in a reference cycle
-        out._backward = lambda ref=weakref.ref(out), backward=backward: backward(ref().grad)
-        out._lane = state.lane
+        node.backward = (lambda ref=weakref.ref(node), backward=backward, targets=targets:
+                         backward(ref().grad, targets))
     for hook in state.hooks:
         hook(out)
     return out
@@ -483,30 +565,34 @@ def add(a: Tensor, b) -> Tensor:
     """Elementwise a + b; b may broadcast into a (bias rule)."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "add")
-    return _op("add", a.data + b.data, (a, b), _same, lambda g: _unbroadcast(g, b.shape))
+    shape = b.shape
+    return _op("add", a.data + b.data, (a, b), _same, lambda g: _unbroadcast(g, shape))
 
 
 def sub(a: Tensor, b) -> Tensor:
     """Elementwise a - b; same broadcast rule as add."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "sub")
-    return _op("sub", a.data - b.data, (a, b), _same, lambda g: -_unbroadcast(g, b.shape))
+    shape = b.shape
+    return _op("sub", a.data - b.data, (a, b), _same, lambda g: -_unbroadcast(g, shape))
 
 
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise a * b; same broadcast rule as add."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "mul")
-    return _op("mul", a.data * b.data, (a, b), lambda g: g * b.data,
-               lambda g: _unbroadcast(g * a.data, b.shape))
+    ad, bd = a.data, b.data
+    return _op("mul", ad * bd, (a, b), lambda g: g * bd,
+               lambda g: _unbroadcast(g * ad, bd.shape))
 
 
 def div(a: Tensor, b) -> Tensor:
     """Elementwise a / b; same broadcast rule as add."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "div")
-    return _op("div", a.data / b.data, (a, b), lambda g: g / b.data,
-               lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+    ad, bd = a.data, b.data
+    return _op("div", ad / bd, (a, b), lambda g: g / bd,
+               lambda g: _unbroadcast(-g * ad / (bd * bd), bd.shape))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -526,9 +612,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     if b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul leading dimensions differ: {a.shape} @ {b.shape}")
-    return _op("matmul", a.data @ b.data, (a, b),
-               lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-               lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+    ad, bd = a.data, b.data
+    return _op("matmul", ad @ bd, (a, b),
+               lambda g: _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape),
+               lambda g: _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
 
 # Bytes of float64 work that conv2d_time and attention_time handle at once.
@@ -603,26 +690,27 @@ def conv2d_time(
         bias = _as_tensor(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d_time bias must be ({cout},), got {bias.shape}")
-    batch, cin, length, variates = x.shape
+    xd, wd = x.data, weight.data
+    batch, cin, length, variates = xd.shape
     out_len = _conv_out_len(length, k, stride_t, pad_t, "conv2d_time")
     span = stride_t * (out_len - 1) + 1  # time steps from a tap's first to last read
     padded = (batch, cin, length + 2 * pad_t, variates)
     pointwise = k == 1 and stride_t == 1 and pad_t == 0
-    w2d = weight.data.reshape(cout, cin * k)
+    w2d = wd.reshape(cout, cin * k)
     n_cols = out_len * variates
 
     def chunks():
         # (start, stop, columns) per chunk of windows, for forward and for grad_weight
         if pointwise:
             # C order, so that every input layout gets the same GEMM operands
-            yield 0, batch, np.ascontiguousarray(x.data).reshape(batch, cin, n_cols)
+            yield 0, batch, np.ascontiguousarray(xd).reshape(batch, cin, n_cols)
             return
         chunk = min(batch, max(1, BLOCK_BYTES // (8 * cin * k * n_cols)))
         xp = np.zeros((chunk,) + padded[1:])
         cols = np.empty((chunk, cin * k, n_cols))
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)
-            xp[: stop - start, :, pad_t : pad_t + length] = x.data[start:stop]
+            xp[: stop - start, :, pad_t : pad_t + length] = xd[start:stop]
             planes = cols[: stop - start].reshape(stop - start, cin, k, out_len, variates)
             for i in range(k):
                 planes[:, :, i] = xp[: stop - start, :, i : i + span : stride_t]
@@ -636,9 +724,9 @@ def conv2d_time(
 
     def grad_x(gy):
         gy = np.ascontiguousarray(gy).reshape(batch, cout, n_cols)
-        taps = np.ascontiguousarray(weight.data[:, :, :, 0].transpose(2, 1, 0))  # W_i^T
+        taps = np.ascontiguousarray(wd[:, :, :, 0].transpose(2, 1, 0))  # W_i^T
         if pointwise:
-            return (taps[0] @ gy).reshape(x.shape)
+            return (taps[0] @ gy).reshape(xd.shape)
         gxp = np.zeros(padded)
         for i in range(k):
             gxp[:, :, i : i + span : stride_t] += (taps[i] @ gy).reshape(
@@ -650,7 +738,7 @@ def conv2d_time(
         per_window = np.empty((batch, cout, cin * k))
         for start, stop, cols in chunks():
             np.matmul(gy[start:stop], cols.transpose(0, 2, 1), out=per_window[start:stop])
-        return per_window.sum(axis=0).reshape(weight.shape)
+        return per_window.sum(axis=0).reshape(wd.shape)
 
     out_data = out_data.reshape(batch, cout, out_len, variates)
     if bias is None:
@@ -717,26 +805,31 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = _as_tensor(x)
+    xd = x.data
     # One buffer each way, worked in place. Operands swap only where the
     # operation commutes, so every rounding is that of
     # cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2)) and, in backward,
-    # gy * (cdf + x * (exp(-0.5 * x * x) * _INV_SQRT_2PI)).
-    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
+    # gy * (cdf + x * (exp(-0.5 * x * x) * _INV_SQRT_2PI)). scipy's erf is
+    # odd bit for bit, so erf(|z|) with z's sign (x's) put back is erf(z);
+    # on inputs of one sign erf's branches stop mispredicting.
+    cdf = np.multiply(xd, _INV_SQRT2, out=np.empty_like(xd))
+    np.abs(cdf, out=cdf)
     erf(cdf, out=cdf)
+    np.copysign(cdf, xd, out=cdf)
     cdf += 1.0
     cdf *= 0.5
 
     def grad_x(gy):
-        g = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
-        g *= x.data
+        g = np.multiply(xd, -0.5, out=np.empty_like(xd))
+        g *= xd
         np.exp(g, out=g)
         g *= _INV_SQRT_2PI
-        g *= x.data
+        g *= xd
         g += cdf
         g *= gy
         return g
 
-    return _op("gelu", x.data * cdf, (x,), grad_x)
+    return _op("gelu", xd * cdf, (x,), grad_x)
 
 
 class TailGenerator(np.random.Generator):
@@ -843,7 +936,7 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         np.matmul(e, vs[s], out=ctx[s, r])
     ctx /= sums
 
-    def backward(gy):
+    def backward(gy, targets):
         # [gy, D] / r with D = rowsum(gy * ctx), the softmax's row correction;
         # its product with ([v, -1] * scale)^T is scale * (gy @ v^T - D) / r
         lhs = np.empty((n, length, d + 1))
@@ -868,9 +961,9 @@ def attention_time(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
             else:
                 gk[s] += g.swapaxes(1, 2) @ qs[s, r]
                 gv[s] += e.swapaxes(1, 2) @ lhs[s, r, :d]
-        for t, grad in ((q, gq), (k, gk), (v, gv)):
-            if t.requires_grad:
-                t._accumulate(grad.reshape(t.shape))
+        for target, grad in zip(targets, (gq, gk, gv)):
+            if target is not None:
+                target._accumulate(grad.reshape(gy.shape))
 
     return _op("attention_time", ctx.reshape(q.shape), (q, k, v), backward=backward)
 
@@ -880,7 +973,8 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    return _op("reshape", x.data.reshape(shape), (x,), lambda g: g.reshape(x.shape))
+    x_shape = x.shape
+    return _op("reshape", x.data.reshape(shape), (x,), lambda g: g.reshape(x_shape))
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
@@ -896,12 +990,12 @@ def slice_time(x: Tensor, start: int, stop: int) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"slice_time expects a (B, C, L, V) tensor, got {x.shape}")
-    length = x.shape[2]
+    shape, length = x.shape, x.shape[2]
     if not 0 <= start < stop <= length:
         raise ShapeError(f"slice_time [{start}, {stop}) out of range for length {length}")
 
     def grad_x(gy):
-        g = np.zeros_like(x.data)
+        g = np.zeros(shape)
         g[:, :, start:stop, :] = gy
         return g
 
@@ -923,11 +1017,12 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 def tensor_sum(x: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
     """Sum over the given axes (all axes when None)."""
     x = _as_tensor(x)
+    shape = x.shape
 
     def grad_x(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, x.shape).copy()
+        return np.broadcast_to(g, shape).copy()
 
     return _op("sum", x.data.sum(axis=axis, keepdims=keepdims), (x,), grad_x)
 
@@ -954,24 +1049,26 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     if g.shape != v.shape[:1]:
         raise ShapeError(f"weight_norm needs g of shape (v.shape[0],), "
                          f"got {g.shape} for v {v.shape}")
-    gr_shape = v.shape[:1] + (1,) * (v.data.ndim - 1)
-    norms_sq = (v.data * v.data).sum(axis=tuple(range(1, v.data.ndim)), keepdims=True)
+    vd, g_shape = v.data, g.shape
+    gr_shape = vd.shape[:1] + (1,) * (vd.ndim - 1)
+    norms_sq = (vd * vd).sum(axis=tuple(range(1, vd.ndim)), keepdims=True)
     if not norms_sq.all():  # a zero norm; cheaper than np.any(norms_sq == 0.0)
         raise DegenerateWeightError("weight-normalized channel has zero direction norm")
     norms = np.sqrt(norms_sq)
-    unit = v.data / norms
+    unit = vd / norms
     gr = g.data.reshape(gr_shape)
 
-    def backward(gw):
-        if v.requires_grad:
+    def backward(gw, targets):
+        to_v, to_g = targets
+        if to_v is not None:
             gunit = gw * gr
-            v._accumulate(gunit / norms)
-            gnorms = _unbroadcast(-gunit * v.data / (norms * norms), norms.shape)
-            gsq = gnorms * 0.5 / norms * v.data
-            v._accumulate(gsq)
-            v._accumulate(gsq)
-        if g.requires_grad:
-            g._accumulate(_unbroadcast(gw * unit, gr_shape).reshape(g.shape))
+            to_v._accumulate(gunit / norms)
+            gnorms = _unbroadcast(-gunit * vd / (norms * norms), norms.shape)
+            gsq = gnorms * 0.5 / norms * vd
+            to_v._accumulate(gsq)
+            to_v._accumulate(gsq)
+        if to_g is not None:
+            to_g._accumulate(_unbroadcast(gw * unit, gr_shape).reshape(g_shape))
 
     return _op("weight_norm", unit * gr, (v, g), backward=backward)
 

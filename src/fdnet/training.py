@@ -138,6 +138,9 @@ def evaluate_mse(model, windows: WindowSampler) -> float:
     return total_sq / count
 
 
+# numpy's overflow and invalid-value warnings would only repeat what train's
+# own checks report as one TrainingDivergedError
+@np.errstate(over="ignore", invalid="ignore")
 def train(model, train_windows: WindowSampler, val_windows: WindowSampler,
           config: TrainConfig) -> TrainResult:
     """Fit the model in place and return the per-epoch history.
@@ -145,7 +148,9 @@ def train(model, train_windows: WindowSampler, val_windows: WindowSampler,
     Each epoch shuffles the training windows with a seeded stream, iterates
     batches (final partial batch included), and records eval-mode train/val
     MSE after its updates. The best-validation parameters are restored into
-    the model before returning.
+    the model before returning. A non-finite step loss, or a non-finite
+    train or val MSE after an epoch (the epoch's last update comes after its
+    loss), raises TrainingDivergedError.
     """
     if len(train_windows) < 1 or len(val_windows) < 1:
         raise InvalidParameterError("training and validation need at least one window each")
@@ -178,6 +183,10 @@ def train(model, train_windows: WindowSampler, val_windows: WindowSampler,
 
         train_mse = evaluate_mse(model, train_windows)
         val_mse = evaluate_mse(model, val_windows)
+        if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
+            raise TrainingDivergedError(
+                f"non-finite eval MSE after epoch {epoch}: train {train_mse!r}, val {val_mse!r}"
+            )
         result.history.append(EpochRecord(epoch, lr, train_mse, val_mse))
         if val_mse < result.best_val_mse:
             result.best_val_mse = val_mse

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,24 @@ class TestTrainCommand:
                      "--out-dir", str(out2)])
         assert code == 0
         assert (out2 / "history.csv").read_bytes() == (trained / "history.csv").read_bytes()
+
+    @pytest.mark.parametrize("split, message", [
+        # the one step's loss is finite; the update after it is not
+        ("rows:55,110", "non-finite eval MSE after epoch 0: train nan, val nan"),
+        ("ratio:0.7,0.1,0.2", "non-finite loss at epoch 0, step 1"),
+    ])
+    def test_diverged_run_exits_with_one_line(self, tmp_path, dataset, capsys, split, message):
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--data", dataset, "--out-dir", str(out), "--l-in", "32",
+                         "--l-out", "8", "--f", "2", "--n-layers", "2", "--embed-dim", "4",
+                         "--max-epochs", "1", "--lr", "1e300", "--split", split])
+        err = capsys.readouterr().err
+        assert code == 1 and caught == []
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {message}"]
+        assert not (out / "checkpoint.ckpt").exists()
 
 
 class TestEvaluateCommand:

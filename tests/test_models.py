@@ -522,8 +522,9 @@ class TestBranchThreads:
     @pytest.mark.parametrize("make", [functools.partial(big_model, "funet"), lanes_model],
                              ids=["halves_plan", "lanes_plan"])
     def test_representations_run_branch_lanes_without_heads_or_joins(self, make):
-        # grad mode records each op's parents, so an op reading a head
-        # parameter shows; the walk over branch.representation is the reference
+        # grad mode records each op's node, whose parents hold the leaves it
+        # reads, so an op reading a head parameter shows; the walk over
+        # branch.representation is the reference
         model, x = make()
         head_params = {id(p) for branch in model.branches for p in branch.head.parameters()}
         seen, head_ops, idents, ref_ops = [], [], set(), []
@@ -531,7 +532,7 @@ class TestBranchThreads:
         def hook(out):
             seen.append(out._op)
             idents.add(threading.get_ident())
-            if any(id(p) in head_params for p in out._parents):
+            if out._node and any(id(p) in head_params for p in out._node.parents):
                 head_ops.append(out._op)
 
         with T.op_hook(hook):

@@ -481,7 +481,7 @@ def _with_extremes(rng, shape):
 def _backprop_from(out, grad):
     # run backward from a non-scalar node with an exact upstream gradient
     out.grad = grad.copy()
-    T._backprop(T._toposort(out))
+    T._backprop(T._toposort(out._node))
 
 
 class TestFusedOpOracle:
@@ -534,14 +534,19 @@ class TestFusedOpOracle:
 
     @ORACLE
     @given(shape=st.sampled_from([(), (1,), (7,), (3, 4), (2, 3, 5)]),
-           scale=st.sampled_from([1.0, 8.0, 40.0]), seed=st.integers(0, 2**32 - 1))
-    def test_gelu(self, shape, scale, seed):
+           scale=st.sampled_from([1.0, 8.0, 40.0]), extremes=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gelu(self, shape, scale, extremes, seed):
+        # extremes: gelu takes erf of |x| and puts x's sign back, so zeros'
+        # and NaN's signs and the largest magnitudes must round as erf(x)
         rng = np.random.default_rng(seed)
-        x = T.Tensor(_signed_zeros(rng, shape) * scale, requires_grad=True)
+        x0 = _with_extremes(rng, shape) if extremes else _signed_zeros(rng, shape) * scale
+        x = T.Tensor(x0, requires_grad=True)
         gy = _signed_zeros(rng, shape)
-        y = T.gelu(x)
-        _backprop_from(y, gy)
-        ry, rgx = _reference_gelu(x.data, gy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = T.gelu(x)
+            _backprop_from(y, gy)
+            ry, rgx = _reference_gelu(x.data, gy)
         assert _bits_equal(y.data, np.asarray(ry))
         assert _bits_equal(x.grad, rgx)
 
@@ -569,6 +574,23 @@ class TestFusedOpOracle:
         x._accumulate(g)
         assert _bits_equal(x.grad, _accumulated(g))
         assert x.grad.strides == np.zeros_like(x.data).strides
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "transposed", "strided", "reversed",
+                                        "broadcast"])
+    def test_node_first_gradient_has_the_layout_of_empty_like(self, layout):
+        # the node keeps no array but its gradient, yet lays it out as
+        # np.empty_like(out.data) did, so no later GEMM rounds differently
+        base = rand((4, 6, 5), 30)
+        data = {"c": base, "fortran": np.asfortranarray(base),
+                "transposed": base.transpose(2, 0, 1), "strided": base[::2, :, 1::2],
+                "reversed": base[:, ::-1].transpose(1, 2, 0),
+                "broadcast": np.broadcast_to(base[:1], base.shape)}[layout]
+        x = T.Tensor(data, requires_grad=True)
+        y = T.dropout(x, 0.5, "eval")  # shares x's array, so has its layout
+        g = rand(data.shape, 31)
+        y._node._accumulate(g)
+        assert y.grad.strides == np.empty_like(data).strides
+        assert _bits_equal(y.grad, _accumulated(g))
 
 
 class TestGelu:
@@ -604,7 +626,7 @@ class TestDropout:
             out = T.dropout(x, p, mode, np.random.default_rng(0))
             assert out.data is x.data
             assert np.array_equal(out.data, before)
-            assert out._op == "dropout" and out._parents == (x,)
+            assert out._op == "dropout" and out._node.parents == (x,)
 
     def test_inverted_scaling_mean(self):
         x = T.Tensor(np.ones(100_000))
@@ -747,7 +769,7 @@ def _stored_exps_attention(q, k, v, scale):
         np.matmul(e, vs[s], out=ctx[s, r])
     ctx /= sums
 
-    def backward(gy):
+    def backward(gy, targets):
         lhs = np.empty((n, length, d + 1))
         np.divide(gy.reshape(n, length, d), sums, out=lhs[..., :d])
         (lhs[..., :d] * ctx).sum(axis=-1, out=lhs[..., d])
@@ -766,9 +788,9 @@ def _stored_exps_attention(q, k, v, scale):
             else:
                 gk[s] += g.swapaxes(1, 2) @ qs[s, r]
                 gv[s] += e.swapaxes(1, 2) @ lhs[s, r, :d]
-        for t, grad in ((q, gq), (k, gk), (v, gv)):
-            if t.requires_grad:
-                t._accumulate(grad.reshape(t.shape))
+        for target, grad in zip(targets, (gq, gk, gv)):
+            if target is not None:
+                target._accumulate(grad.reshape(q.shape))
 
     return T._op("attention_time", ctx.reshape(q.shape), (q, k, v), backward=backward)
 
@@ -974,9 +996,11 @@ class TestOp:
     def test_shared_backward_gets_the_output_gradient_once(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
         got = []
-        out = T._op("probe", 2.0 * x.data, (x,), backward=lambda g: got.append(g.copy()))
+        out = T._op("probe", 2.0 * x.data, (x,),
+                    backward=lambda g, targets: got.append((g.copy(), targets)))
         T.tensor_sum(out).backward()
-        assert len(got) == 1 and np.array_equal(got[0], [1.0, 1.0])
+        assert len(got) == 1 and np.array_equal(got[0][0], [1.0, 1.0])
+        assert got[0][1] == (x,)
 
     def test_unrecorded_output_has_no_backward_and_no_parents(self):
         x = T.Tensor([1.0], requires_grad=True)
@@ -988,7 +1012,7 @@ class TestOp:
                 outs = [T._op("probe", x.data, (x,), _never), T.add(x, x),
                         T.weight_norm(T.Tensor(np.ones((1, 2, 1, 1)), requires_grad=True), x)]
         for out in [plain, *outs]:
-            assert out._backward is None and out._parents == () and not out.requires_grad
+            assert out._backward is None and out._node is None and not out.requires_grad
         assert [t._op for t in seen] == ["probe", "probe", "add", "weight_norm"]
 
     def test_twin_gradient_adds_into_its_tensor_after_the_pass(self):
@@ -1023,15 +1047,45 @@ class TestGraphRelease:
         try:
             h = T.gelu(T.mul(x, x))
             loss = T.tensor_sum(T.mul(h, h))
-            ref = weakref.ref(h)
+            refs = [weakref.ref(h.data), weakref.ref(h._node)]
             del h
-            assert ref() is not None
+            assert all(ref() is not None for ref in refs)  # mul's backward reads h
             loss.backward()
-            assert ref() is None
+            assert all(ref() is None for ref in refs)
         finally:
             if was_enabled:
                 gc.enable()
         assert x.grad is not None and loss.grad is None
+
+    @pytest.mark.parametrize("op, reads", [
+        (lambda h: T.add(h, h), False),
+        (lambda h: T.sub(h, h), False),
+        # a reshape that copies: a view's base is its own data
+        (lambda h: T.reshape(T.transpose(h, (0, 1, 3, 2)), (6, 20)), False),
+        (lambda h: T.slice_time(h, 1, 3), False),
+        (lambda h: T.tensor_sum(h, axis=1), False),
+        (lambda h: T.dropout(h, 0.5, "train", np.random.default_rng(2)), False),
+        (lambda h: T.mul(h, h), True),
+        (T.gelu, True),
+    ], ids=["add", "sub", "reshape", "slice_time", "sum", "dropout", "mul", "gelu"])
+    def test_output_keeps_only_what_its_backward_reads(self, op, reads):
+        # h's node is a parent of the op's node; h's array lives on only if
+        # the op's backward reads it, and goes with the graph then
+        x = T.Tensor(rand((2, 3, 4, 5), 61), requires_grad=True)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            h = T.mul(x, 2.0)
+            ref = weakref.ref(h.data)
+            out = op(h)
+            del h
+            assert (ref() is not None) == reads
+            T.tensor_sum(out).backward()
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert x.grad is not None
 
     def test_second_backward_rejected(self):
         x = T.Tensor([2.0], requires_grad=True)

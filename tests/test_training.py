@@ -1,6 +1,8 @@
 import gc
 import json
 import struct
+import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -107,13 +109,13 @@ class TestGraphRelease:
         try:
             pred, branch_preds = model.forward(Tensor(x), "train")
             loss = mse_loss(pred, Tensor(y))
-            refs, stack, seen = [], [loss], set()
+            refs, stack, seen = [], [loss._node], set()
             while stack:
                 node = stack.pop()
-                if id(node) not in seen and node._parents:
+                if type(node) is T._Node and id(node) not in seen:
                     seen.add(id(node))
                     refs.append(weakref.ref(node))
-                    stack.extend(node._parents)
+                    stack.extend(node.parents)
             del pred, branch_preds, stack, node
             assert len(refs) > 50
             loss.backward()
@@ -121,8 +123,25 @@ class TestGraphRelease:
         finally:
             if was_enabled:
                 gc.enable()
-        assert len(alive) == 1 and alive[0]() is loss
+        assert len(alive) == 1 and alive[0]() is loss._node
         assert all(p.grad is not None for p in model.parameters())
+
+    def test_default_fdnet_step_holds_only_what_backward_reads(self):
+        # at the loss of a default B=16 step, the graph held 176 MiB while
+        # nodes kept their outputs (59 MiB of conv and add outputs that no
+        # backward reads) and holds 117 MiB without them
+        model = build_model("fdnet", l_in=672, l_out=96, f=5, alpha=0.5, n_layers=5,
+                            embed_dim=8, seed=4321)
+        rng = np.random.default_rng(6)
+        x, y = Tensor(rng.normal(size=(16, 1, 672, 7))), Tensor(rng.normal(size=(16, 96, 7)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = mse_loss(model.forward(x, "train")[0], y)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 140 * 2**20
 
 
 class TestAdam:
@@ -323,6 +342,21 @@ class TestTrain:
                 gc.enable()
         assert excinfo.value.__traceback__ is not None
         assert len(refs) > 50 and alive == []
+
+    def test_divergence_after_the_last_step_raises(self):
+        # one step per epoch: its loss is finite, and the update after it
+        # leaves the parameters non-finite; numpy warns of none of it
+        frame = sine_frame(120)
+        tw = make_windows(frame, 16, 4, 7)
+        vw = make_windows(frame, 16, 4, 5)
+        assert len(tw) <= 16
+        model = build_model("fdnet", 16, 4, 2, 0.5, 1, 2, seed=5)
+        cfg = TrainConfig(learning_rate=1e300, batch_size=16, max_epochs=1, patience=1, seed=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingDivergedError, match="MSE after epoch 0"):
+                train(model, tw, vw, cfg)
+        assert caught == []
 
     def test_restores_best_params(self):
         frame = sine_frame(200)
