@@ -375,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ForecastError, OSError) as exc:  # an OSError's text names its file
         _log(f"error: {exc}")
         return 1
+    except MemoryError as exc:
+        _log(f"error: out of memory: {exc}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -266,18 +266,15 @@ def _run_two(fn_a: Callable[[], object], fn_b: Callable[[], object]) -> tuple:
     return head.result(), tail
 
 
-def _memory_order(a: np.ndarray) -> tuple[int, ...] | None:
-    """`a`'s axes, outermost first, as `np.empty_like(a)` lays them out; None for C order.
-
-    NumPy's rule: C order for a C-contiguous array (or one of rank 1 or
-    less), Fortran order for a Fortran-contiguous one, and otherwise axes by
-    decreasing absolute stride, ties in axis order.
-    """
-    if a.flags.c_contiguous or a.ndim <= 1:
-        return None
-    if a.flags.f_contiguous:
-        return tuple(range(a.ndim - 1, -1, -1))
-    return tuple(sorted(range(a.ndim), key=lambda axis: -abs(a.strides[axis])))
+def _accumulate(grad: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+    """`grad` plus `g`: a first gradient is `g + 0.0` in a buffer of its own."""
+    if grad is None:
+        # g + 0.0 has the bits of 0.0 + g (IEEE addition commutes, signed
+        # zeros too) and skips a pass that fills zeros; `out=` keeps a 0-d
+        # gradient an ndarray rather than a numpy scalar
+        return np.add(g, 0.0, out=np.empty_like(g))
+    grad += g
+    return grad
 
 
 class _Node:
@@ -287,30 +284,19 @@ class _Node:
     the input's node, the input itself when it is a leaf that requires grad,
     or None when no gradient goes to it. `backward` is a zero-argument
     callable that hands `grad` on to them (hooks may wrap it). The only array
-    a node holds is `grad`; it keeps the output's shape and memory order so
-    that its first gradient is laid out as `np.empty_like(out.data)`.
+    a node holds is `grad`.
     """
 
-    __slots__ = ("grad", "parents", "backward", "lane", "shape", "order", "__weakref__")
+    __slots__ = ("grad", "parents", "backward", "lane", "__weakref__")
 
-    def __init__(self, parents: tuple, lane: int, data: np.ndarray):
+    def __init__(self, parents: tuple, lane: int):
         self.grad: np.ndarray | None = None
         self.parents = parents
         self.backward: Callable[[], None] | None = None
         self.lane = lane  # the _run_two lane that recorded it; 0 outside (the trunk)
-        self.shape = data.shape
-        self.order = _memory_order(data)
 
     def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            if self.order is None:
-                out = np.empty(self.shape)
-            else:
-                out = np.empty([self.shape[axis] for axis in self.order])
-                out = out.transpose(np.argsort(self.order))
-            self.grad = np.add(g, 0.0, out=out)  # as Tensor._accumulate
-        else:
-            self.grad += g
+        self.grad = _accumulate(self.grad, g)
 
 
 class Tensor:
@@ -379,12 +365,7 @@ class Tensor:
         return twin
 
     def _accumulate(self, g: np.ndarray):
-        if self._grad is None:
-            # g + 0.0 has the bits of 0.0 + g (IEEE addition commutes, signed
-            # zeros too) and skips a pass that fills zeros
-            self._grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
-            self._grad += g
+        self._grad = _accumulate(self._grad, g)
 
     def backward(self):
         """Reverse-mode pass from this scalar; populates `.grad` on leaves.
@@ -528,7 +509,7 @@ def _op(op: str, data, parents: tuple[Tensor, ...], *grad_fns, backward=None) ->
         if backward is None:
             backward = functools.partial(_route, grad_fns)
         out.requires_grad = True
-        out._node = node = _Node(targets, state.lane, out.data)
+        out._node = node = _Node(targets, state.lane)
         # a weak reference, so that no node is in a reference cycle
         node.backward = (lambda ref=weakref.ref(node), backward=backward, targets=targets:
                          backward(ref().grad, targets))

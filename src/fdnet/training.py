@@ -286,6 +286,9 @@ def load_checkpoint(path) -> Checkpoint:
             stored_plan = (config["plan_lengths"], config["plan_depths"])
         except (KeyError, TypeError, ValueError, ArithmeticError, ForecastError) as exc:
             raise CorruptCheckpointError(f"unusable checkpoint config: {exc!r}") from None
+        except MemoryError:
+            raise CorruptCheckpointError(
+                "checkpoint config asks for a model that cannot be allocated") from None
         if stored_plan != (list(model.plan.lengths), list(model.plan.depths)):
             raise CorruptCheckpointError("stored focal plan does not match rebuilt plan")
         named = model.named_parameters()

@@ -412,6 +412,13 @@ class TestParamsCommand:
         assert total == sum(p.size for p in model.parameters())
         assert total > 0
 
+    def test_unallocatable_model_exits_with_one_line(self, capsys):
+        # 10**15 steps is past a 47-bit address space, so the allocation is
+        # refused before any page is touched
+        assert main(["params", "--l-in", str(10**15)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestExportReprCommand:
     def test_rows_partition_by_branch(self, tmp_path, dataset, trained):

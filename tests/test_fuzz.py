@@ -2,6 +2,7 @@
 checkpoint bytes either work or fail with a ForecastError, never with
 another exception."""
 
+import json
 import struct
 import warnings
 from dataclasses import fields
@@ -173,4 +174,18 @@ class TestCheckpointBytes:
         scratch.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(nested))
                             + nested)
         with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(scratch)
+
+    def test_unallocatable_model_config(self, scratch):
+        # a config whose model cannot be allocated (10**15 input steps, past a
+        # 47-bit address space) is refused as corrupt, not with a MemoryError
+        blob = CHECKPOINTS["tiny_fdnet.ckpt"]
+        start = len(CHECKPOINT_MAGIC) + 8
+        (blob_len,) = struct.unpack("<I", blob[start - 4:start])
+        payload = json.loads(blob[start:start + blob_len])
+        payload["config"]["l_in"] = 10**15
+        config = json.dumps(payload).encode()
+        scratch.write_bytes(blob[:start - 4] + struct.pack("<I", len(config)) + config
+                            + blob[start + blob_len:])
+        with pytest.raises(CorruptCheckpointError, match="cannot be allocated"):
             load_checkpoint(scratch)

@@ -218,6 +218,14 @@ def _accumulated(g):
     return out
 
 
+# the six memory layouts of an array that the first-gradient tests try
+_LAYOUTS = {"c": np.ascontiguousarray, "fortran": np.asfortranarray,
+            "transposed": lambda a: a.transpose(*range(1, a.ndim), 0),
+            "strided": lambda a: a[::2, ::2],
+            "reversed": lambda a: a[:, ::-1].T,
+            "broadcast": lambda a: np.broadcast_to(a[:1], a.shape)}
+
+
 def _reference_conv(x, w, b, stride, pad, gy):
     """np.pad + sliding_window_view conv with conv2d_time's products, one
     window at a time: (y, gx, gw, gb) as leaf grads."""
@@ -567,30 +575,40 @@ class TestFusedOpOracle:
         assert drop_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_first_gradient_is_zeros_plus_g(self):
-        # the first accumulation turns -0.0 into 0.0 as zeros + g did, keeps
-        # infinities and NaN, and takes the layout of the data
-        x = T.Tensor(np.zeros((3, 2)).T, requires_grad=True)
-        g = np.array([[-0.0, 0.0, np.inf], [-np.inf, np.nan, -2.5]])
-        x._accumulate(g)
-        assert _bits_equal(x.grad, _accumulated(g))
-        assert x.grad.strides == np.zeros_like(x.data).strides
+        # a leaf's first accumulation turns -0.0 into 0.0 as zeros + g did,
+        # keeps infinities and NaN, and copies g in any layout
+        base = np.array([[-0.0, 0.0, np.inf], [-np.inf, np.nan, -2.5]])
+        for g in [layout(base) for layout in _LAYOUTS.values()] + [np.array(-0.0)]:
+            x = T.Tensor(np.zeros(g.shape), requires_grad=True)
+            x._accumulate(g)
+            assert type(x.grad) is np.ndarray
+            assert not np.shares_memory(x.grad, g)
+            assert _bits_equal(x.grad, _accumulated(g))
 
-    @pytest.mark.parametrize("layout", ["c", "fortran", "transposed", "strided", "reversed",
-                                        "broadcast"])
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
     def test_node_first_gradient_has_the_layout_of_empty_like(self, layout):
-        # the node keeps no array but its gradient, yet lays it out as
-        # np.empty_like(out.data) did, so no later GEMM rounds differently
-        base = rand((4, 6, 5), 30)
-        data = {"c": base, "fortran": np.asfortranarray(base),
-                "transposed": base.transpose(2, 0, 1), "strided": base[::2, :, 1::2],
-                "reversed": base[:, ::-1].transpose(1, 2, 0),
-                "broadcast": np.broadcast_to(base[:1], base.shape)}[layout]
-        x = T.Tensor(data, requires_grad=True)
-        y = T.dropout(x, 0.5, "eval")  # shares x's array, so has its layout
-        g = rand(data.shape, 31)
+        # a node's first gradient is g + 0.0 in a buffer that np.empty_like(g)
+        # lays out; a 0-d gradient (the loss root's) stays an ndarray
+        g = _LAYOUTS[layout](rand((4, 6, 5), 31))
+        y = T.dropout(T.Tensor(np.zeros(g.shape), requires_grad=True), 0.5, "eval")
         y._node._accumulate(g)
-        assert y.grad.strides == np.empty_like(data).strides
+        assert y.grad.strides == np.empty_like(g).strides
+        assert not np.shares_memory(y.grad, g)
         assert _bits_equal(y.grad, _accumulated(g))
+        root = T.tensor_sum(T.Tensor(g, requires_grad=True))
+        root._node._accumulate(np.array(-0.0))
+        assert type(root.grad) is np.ndarray and _bits_equal(root.grad, np.array(0.0))
+
+    def test_one_gradient_handed_to_two_leaves_stays_apart(self):
+        # add's gradient functions return their input itself, so each leaf's
+        # first gradient must be a buffer of its own: a later += into one
+        # leaf leaves the other's unchanged
+        a, b = (T.Tensor(np.zeros((3, 4)), requires_grad=True) for _ in range(2))
+        gy = rand((3, 4), 32)
+        _backprop_from(T.add(a, b), gy)
+        assert not np.shares_memory(a.grad, b.grad)
+        a._accumulate(np.ones((3, 4)))
+        assert _bits_equal(b.grad, _accumulated(gy))
 
 
 class TestGelu:
