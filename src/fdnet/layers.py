@@ -159,7 +159,8 @@ class MultiHeadAttention(Module):
     of a few (sequence, head) pairs, or a run of rows of one, at a time,
     sized to stay in cache. It keeps row maxima and sums, exponentials
     recomputed in backward: (L x 1) arrays per head and sequence, instead
-    of the (L x L) arrays of each step of the unfused chain.
+    of the (L x L) arrays of each step of the unfused chain. Q, K, V and the
+    merged heads are bound to no name, so each goes when its reader returns.
     """
 
     def __init__(self, d: int, heads: int = 1, *, rng: np.random.Generator):
@@ -182,12 +183,10 @@ class MultiHeadAttention(Module):
         def split_heads(t: Tensor) -> Tensor:
             return T.transpose(T.reshape(t, (n, length, h, dh)), (0, 2, 1, 3))
 
-        q = split_heads(T.matmul(x, self.w_q))
-        k = split_heads(T.matmul(x, self.w_k))
-        v = split_heads(T.matmul(x, self.w_v))
-        ctx = T.attention_time(q, k, v, 1.0 / math.sqrt(dh))
-        merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, length, d))
-        return T.matmul(merged, self.w_o)
+        ctx = T.attention_time(split_heads(T.matmul(x, self.w_q)),
+                               split_heads(T.matmul(x, self.w_k)),
+                               split_heads(T.matmul(x, self.w_v)), 1.0 / math.sqrt(dh))
+        return T.matmul(T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, length, d)), self.w_o)
 
     def forward_per_variate(self, x: Tensor) -> Tensor:
         """Apply attention along time independently per variate of (B,D,L,V)."""

@@ -102,7 +102,8 @@ class DFEInitialBlock(Module):
 
     Each 3x1 conv output adds the activation that entered the preceding 1x1
     conv, then dropout and GELU. Channel count and temporal length are
-    preserved; the receptive field grows by 2 per block.
+    preserved; the receptive field grows by 2 per block. No name holds an
+    activation past its last reader, so a `no_grad` forward frees each there.
     """
 
     def __init__(self, d: int, dropout_p: float, params: _Streams, drops: _Streams):
@@ -117,10 +118,10 @@ class DFEInitialBlock(Module):
         return T.dropout(x, self.dropout_p, mode, self._drop_rngs[site])
 
     def forward(self, x: Tensor, mode: str) -> Tensor:
-        h1 = T.gelu(self._drop(self.conv1.forward(x), 0, mode))
-        h2 = T.gelu(self._drop(T.add(self.conv2.forward(h1), x), 1, mode))
-        h3 = T.gelu(self._drop(self.conv3.forward(h2), 2, mode))
-        return T.gelu(self._drop(T.add(self.conv4.forward(h3), h2), 3, mode))
+        h = T.gelu(self._drop(self.conv1.forward(x), 0, mode))
+        h = skip = T.gelu(self._drop(T.add(self.conv2.forward(h), x), 1, mode))
+        h = T.gelu(self._drop(self.conv3.forward(h), 2, mode))
+        return T.gelu(self._drop(T.add(self.conv4.forward(h), skip), 3, mode))
 
 
 class DFEICOMBlock(Module):
@@ -131,7 +132,9 @@ class DFEICOMBlock(Module):
     c = gelu(drop(WNConv3x1(b)));
     out = c + maxpool3x1-stride2(x).
     Both halving paths share the floor((L-1)/2)+1 length rule, so the final
-    add is always shape-consistent.
+    add is always shape-consistent. One name threads a -> b -> c, so a
+    `no_grad` forward frees each activation at its last reader; x stays for
+    the max-pool.
     """
 
     def __init__(self, d: int, heads: int, dropout_p: float, params: _Streams, drops: _Streams):
@@ -150,11 +153,11 @@ class DFEICOMBlock(Module):
             raise SequenceTooShortError(
                 f"downsampling block needs temporal length >= 2, got {x.shape[2]}"
             )
-        mixed = self.conv_mix.forward(self.attn.forward_per_variate(x))
-        a = T.gelu(self._drop(T.add(x, mixed), 0, mode))
-        b = T.gelu(self._drop(self.conv_down.forward(a), 1, mode))
-        c = T.gelu(self._drop(self.conv_post.forward(b), 2, mode))
-        return T.add(c, T.maxpool_time(x, 3, 2, 1))
+        h = self.conv_mix.forward(self.attn.forward_per_variate(x))
+        h = T.gelu(self._drop(T.add(x, h), 0, mode))
+        h = T.gelu(self._drop(self.conv_down.forward(h), 1, mode))
+        h = T.gelu(self._drop(self.conv_post.forward(h), 2, mode))
+        return T.add(h, T.maxpool_time(x, 3, 2, 1))
 
 
 class _Branch(Module):

@@ -10,7 +10,8 @@ shape ops (reshape/transpose/slice/concat/sum) that wire them together.
 Four ops no model calls: `neg`, `div`, `sqrt` and `softmax_lastdim`; only the
 gradient suite (`fdnet.verification`) and the benchmark's op map use them.
 GELU and dropout work their temporaries in place and, like maxpool and
-weight norm, round exactly as the plain numpy expressions they replace; the
+weight norm, round exactly as the plain numpy expressions they replace (a
+recorded GELU keeps its derivative for backward, not its input and cdf); the
 conv makes one GEMM per window, whose sums may round apart from one GEMM
 over all windows (see `conv2d_time`), and attention does not round as its
 unfused chain (see `attention_time`).
@@ -489,6 +490,11 @@ def _route(grad_fns, g: np.ndarray, targets: tuple):
             target._accumulate(grad_fn(g))
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on `parents` records a graph node here (see `_op`)."""
+    return _state.get().grad and any(p.requires_grad for p in parents)
+
+
 def _op(op: str, data, parents: tuple[Tensor, ...], *grad_fns, backward=None) -> Tensor:
     """Make op `op`'s output from `data`, and record it for backward if it needs a graph.
 
@@ -503,7 +509,7 @@ def _op(op: str, data, parents: tuple[Tensor, ...], *grad_fns, backward=None) ->
     out = Tensor(data)
     out._op = op
     state = _state.get()
-    if state.grad and any(p.requires_grad for p in parents):
+    if _records(parents):
         targets = tuple(p._node if p._node is not None else p if p.requires_grad else None
                         for p in parents)
         if backward is None:
@@ -784,33 +790,37 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    A recorded call keeps one array for backward, the derivative
+    GELU'(x) = cdf + x * pdf(x), made in forward, and neither x nor cdf;
+    backward, which runs once, writes its product with gy over it. The
+    output is written into cdf's buffer, so an unrecorded call allocates
+    only its output.
+    """
     x = _as_tensor(x)
     xd = x.data
-    # One buffer each way, worked in place. Operands swap only where the
-    # operation commutes, so every rounding is that of
-    # cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2)) and, in backward,
-    # gy * (cdf + x * (exp(-0.5 * x * x) * _INV_SQRT_2PI)). scipy's erf is
-    # odd bit for bit, so erf(|z|) with z's sign (x's) put back is erf(z);
-    # on inputs of one sign erf's branches stop mispredicting.
+    # Worked in place. Operands swap only where the operation commutes, so
+    # every rounding is that of y = x * cdf, cdf = 0.5 * (1.0 + erf(x *
+    # _INV_SQRT2)), and of gy * (cdf + x * (exp(-0.5 * x * x) * _INV_SQRT_2PI)).
+    # scipy's erf is odd bit for bit, so erf(|z|) with z's sign (x's) put
+    # back is erf(z); on inputs of one sign erf's branches stop mispredicting.
     cdf = np.multiply(xd, _INV_SQRT2, out=np.empty_like(xd))
     np.abs(cdf, out=cdf)
     erf(cdf, out=cdf)
     np.copysign(cdf, xd, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-
-    def grad_x(gy):
-        g = np.multiply(xd, -0.5, out=np.empty_like(xd))
-        g *= xd
-        np.exp(g, out=g)
-        g *= _INV_SQRT_2PI
-        g *= xd
-        g += cdf
-        g *= gy
-        return g
-
-    return _op("gelu", xd * cdf, (x,), grad_x)
+    d = None
+    if _records((x,)):
+        d = np.multiply(xd, -0.5, out=np.empty_like(xd))
+        d *= xd
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= xd
+        d += cdf
+    cdf *= xd
+    return _op("gelu", cdf, (x,), lambda gy: np.multiply(d, gy, out=d))
 
 
 class TailGenerator(np.random.Generator):
