@@ -22,14 +22,13 @@ from .tensor import Tensor
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    """He-uniform draw: U(-sqrt(6/fan_in), +sqrt(6/fan_in))."""
-    bound = math.sqrt(6.0 / fan_in)
+    """PyTorch's default weight draw: U(-1/sqrt(fan_in), +1/sqrt(fan_in)).
+
+    That is `kaiming_uniform_(a=sqrt(5))`, what `nn.Conv2d` and `nn.Linear`
+    start from; biases here start at zero (README, "Initialisation").
+    """
+    bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_target_std(fan_in: int) -> float:
-    """Std of the He-uniform distribution above: sqrt(2/fan_in)."""
-    return math.sqrt(2.0 / fan_in)
 
 
 class Module:

@@ -7,17 +7,15 @@ V 7 and embed 8 the input has 64 * 96 * 7 * 8 = 2^18.4 elements, so both
 forwards are large (see `fdnet.models`). FDNet's branch cut is balanced
 (0.516 of the work on its larger side), so its eval forward and train step
 run its branch groups as two lanes, bitwise the whole batch's serial loop;
-FUNet's (0.556) splits the batch of both. Under one CPU all run serially and
-must agree. FUNet's gradients, a sum of the two halves', are within the
-tolerance below of the whole batch's that the file holds; its loss and
-predictions are bitwise the same.
+FUNet's (0.556) splits the batch of both, so its stored gradients are the
+sum of the two halves'. Under one CPU all run serially and must agree.
 
 The comparison allows 1e-12 relative error, because another CPU's OpenBLAS
 kernels may round the last bits differently. On the machine that wrote the
-files the results were bitwise equal; they were written when every large
-no-grad eval forward split its batch, so FDNet's eval predictions, now from
-branch lanes, differ from them by up to 3e-13. After a change that is meant
-to move these numbers, regenerate the files of the variants it moved with
+files the results were bitwise equal. `tests/test_oracle.py` checks the same
+forwards against a plain-numpy oracle, independently of these files. After
+a change that is meant to move these numbers, regenerate the files of the
+variants it moved with
 
     PYTHONPATH=src python tests/test_golden.py [fdnet] [funet]
 

@@ -10,7 +10,6 @@ from fdnet.layers import (
     MultiHeadAttention,
     ValueEmbedding,
     WeightNormConv,
-    kaiming_target_std,
     kaiming_uniform,
 )
 from fdnet.tensor import Tensor
@@ -221,11 +220,13 @@ class TestInit:
         assert np.all(WeightNormConv(2, 3, 1, rng=gen(44)).bias.data == 0.0)
         assert np.all(LinearHead(4, 5, rng=gen(45)).bias.data == 0.0)
 
-    def test_empirical_std_near_kaiming_target(self):
+    def test_draw_within_pytorch_default_bound(self):
+        # U(+-1/sqrt(fan_in)), whose std is 1/sqrt(3 fan_in)
         fan_in = 12
         draws = kaiming_uniform(gen(46), (10_000,), fan_in)
-        target = kaiming_target_std(fan_in)
-        assert abs(draws.std() - target) / target < 0.2
+        assert np.abs(draws).max() <= 1.0 / np.sqrt(fan_in)
+        target = 1.0 / np.sqrt(3 * fan_in)
+        assert abs(draws.std() - target) / target < 0.05
 
 
 class TestModuleCopy:

@@ -293,6 +293,18 @@ class TestFUNetModel:
                 assert branch.out_length == halved_times(length, depth)
 
 
+class TestInitialScale:
+    @pytest.mark.parametrize("variant, heads", [("fdnet", 1), ("funet", 1), ("funet", 2)])
+    def test_fresh_default_model_output_near_unit_scale(self, variant, heads):
+        # a weight scale that grows the activations compounds block by block:
+        # a He-uniform draw gave output stds of 136, 82 and 98 here
+        model = build_model(variant, 672, 96, 5, 0.5, 5, 8, seed=4321, heads=heads)
+        x = Tensor(np.random.default_rng(4321).normal(size=(16, 1, 672, 7)))
+        with T.no_grad():
+            pred, _ = model.forward(x, "eval")
+        assert 0.25 <= pred.data.std() <= 4.0
+
+
 class TestParamCount:
     def test_head_count_formula(self):
         # D=8, len=42, L_out=96: 8*42*96 + 96 = 32352
