@@ -64,6 +64,11 @@ def make_focal_plan(l_in: int, f: int, alpha: float = 0.5, n_layers: int = 5,
         raise InvalidParameterError(f"depth bound must be >= 1, got {n_layers}")
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"ratio must lie in (0, 1), got {alpha}")
+    short = InvalidPlanError(
+        f"input length {l_in} cannot feed {f} non-empty branches at ratio {alpha}"
+    )
+    if f > l_in:  # before the per-branch lists below, whose size f sets
+        raise short
 
     if f == 1:
         lengths = [l_in]
@@ -72,9 +77,7 @@ def make_focal_plan(l_in: int, f: int, alpha: float = 0.5, n_layers: int = 5,
         rest = [int(l_in * p) for p in proportions[1:]]
         lengths = [l_in - sum(rest), *rest]
     if any(length < 1 for length in lengths):
-        raise InvalidPlanError(
-            f"input length {l_in} cannot feed {f} non-empty branches at ratio {alpha}"
-        )
+        raise short
 
     if variant == "fdnet":
         depths = [max(n_layers - (f - 1 - i), 1) for i in range(f)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,18 @@ class TestMakeFocalPlan:
     def test_too_short_raises(self):
         with pytest.raises(InvalidPlanError):
             make_focal_plan(7, 5, 0.5, 5, "fdnet")
+
+    def test_more_branches_than_steps_rejected_before_any_list_is_built(self):
+        # a per-branch list of 3,000,000 entries took ~1 s and ~237 MiB before
+        # the empty branches were found
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidPlanError, match="cannot feed 3000000"):
+                make_focal_plan(16, 3_000_000, 0.5, 2, "fdnet")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_depth_clipping_when_f_exceeds_n(self):
         plan = make_focal_plan(128, 4, 0.5, 2, "fdnet")
