@@ -86,22 +86,20 @@ class WeightNormConv(Module):
     drawn v.
     """
 
-    def __init__(self, cin: int, cout: int, k: int, stride_t: int = 1, pad_t: int = 0, *,
+    def __init__(self, cin: int, cout: int, k: int, stride_t: int = 1, *,
                  rng: np.random.Generator):
         v = kaiming_uniform(rng, (cout, cin, k, 1), fan_in=cin * k)
         self.v = Tensor(v, requires_grad=True)
         self.g = Tensor(np.sqrt((v * v).sum(axis=(1, 2, 3))), requires_grad=True)
         self.bias = Tensor(np.zeros(cout), requires_grad=True)
         self.stride_t = stride_t
-        self.pad_t = pad_t
 
     def effective_weight(self) -> Tensor:
         """g * v / ||v|| per output channel; gradients flow into v and g."""
         return T.weight_norm(self.v, self.g)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d_time(x, self.effective_weight(), self.bias,
-                             stride_t=self.stride_t, pad_t=self.pad_t)
+        return T.conv2d_time(x, self.effective_weight(), self.bias, self.stride_t)
 
 
 class ValueEmbedding(Module):

@@ -8,8 +8,8 @@ output depends only on its own temporal slice, and every layer keeps
 variates independent.
 
 The plain block keeps temporal length; the downsampling block halves it
-(L -> floor((L-1)/2) + 1) via a strided conv with a max-pool skip, and mixes
-time positions per variate through canonical attention.
+(L -> ceil(L / 2)) via a stride-2 conv with a max-pool skip, and mixes time
+positions per variate through canonical attention.
 
 Parameters are read-only during forward; batched inference over distinct
 graphs is safe. Branches share nothing and each window's forecast depends on
@@ -92,11 +92,6 @@ def _streams(seed: int, domain: int) -> _Streams:
         yield np.random.default_rng(np.random.SeedSequence([seed, domain, index]))
 
 
-def halved_length(length: int) -> int:
-    """Temporal length after one stride-2, kernel-3, pad-1 stage."""
-    return (length - 1) // 2 + 1
-
-
 class DFEInitialBlock(Module):
     """Four weight-normalized convs (1x1, 3x1, 1x1, 3x1) with two residuals.
 
@@ -108,9 +103,9 @@ class DFEInitialBlock(Module):
 
     def __init__(self, d: int, dropout_p: float, params: _Streams, drops: _Streams):
         self.conv1 = WeightNormConv(d, d, 1, rng=next(params))
-        self.conv2 = WeightNormConv(d, d, 3, pad_t=1, rng=next(params))
+        self.conv2 = WeightNormConv(d, d, 3, rng=next(params))
         self.conv3 = WeightNormConv(d, d, 1, rng=next(params))
-        self.conv4 = WeightNormConv(d, d, 3, pad_t=1, rng=next(params))
+        self.conv4 = WeightNormConv(d, d, 3, rng=next(params))
         self.dropout_p = dropout_p
         self._drop_rngs = [next(drops) for _ in range(4)]
 
@@ -130,18 +125,18 @@ class DFEICOMBlock(Module):
     a = gelu(drop(x + WNConv1x1(attention(x))));
     b = gelu(drop(WNConv3x1-stride2(a)));
     c = gelu(drop(WNConv3x1(b)));
-    out = c + maxpool3x1-stride2(x).
-    Both halving paths share the floor((L-1)/2)+1 length rule, so the final
-    add is always shape-consistent. One name threads a -> b -> c, so a
-    `no_grad` forward frees each activation at its last reader; x stays for
-    the max-pool.
+    out = c + maxpool_time(x), the kernel-3 stride-2 pool.
+    The stride-2 conv and the pool both leave strided_length(L, 2) steps,
+    so the final add is always shape-consistent. One name threads
+    a -> b -> c, so a `no_grad` forward frees each activation at its last
+    reader; x stays for the max-pool.
     """
 
     def __init__(self, d: int, heads: int, dropout_p: float, params: _Streams, drops: _Streams):
         self.attn = MultiHeadAttention(d, heads, rng=next(params))
         self.conv_mix = WeightNormConv(d, d, 1, rng=next(params))
-        self.conv_down = WeightNormConv(d, d, 3, stride_t=2, pad_t=1, rng=next(params))
-        self.conv_post = WeightNormConv(d, d, 3, pad_t=1, rng=next(params))
+        self.conv_down = WeightNormConv(d, d, 3, stride_t=2, rng=next(params))
+        self.conv_post = WeightNormConv(d, d, 3, rng=next(params))
         self.dropout_p = dropout_p
         self._drop_rngs = [next(drops) for _ in range(3)]
 
@@ -157,7 +152,7 @@ class DFEICOMBlock(Module):
         h = T.gelu(self._drop(T.add(x, h), 0, mode))
         h = T.gelu(self._drop(self.conv_down.forward(h), 1, mode))
         h = T.gelu(self._drop(self.conv_post.forward(h), 2, mode))
-        return T.add(h, T.maxpool_time(x, 3, 2, 1))
+        return T.add(h, T.maxpool_time(x))
 
 
 class _Branch(Module):
@@ -188,7 +183,7 @@ class _Branch(Module):
                     )
                 self.blocks.append(DFEICOMBlock(d, heads, dropout_p, params, drops))
                 self.work += current
-                current = halved_length(current)
+                current = T.strided_length(current, 2)
             self.out_length = current
         self.head = LinearHead(d * self.out_length, l_out, rng=next(params))
 

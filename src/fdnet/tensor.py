@@ -619,23 +619,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 BLOCK_BYTES = 512 * 1024
 
 
-def _conv_out_len(length: int, k: int, stride_t: int, pad_t: int, op: str) -> int:
-    out_len = (length + 2 * pad_t - k) // stride_t + 1
-    if out_len < 1:
-        raise SequenceTooShortError(
-            f"{op}: length {length} with kernel {k}, stride {stride_t}, pad {pad_t} "
-            f"leaves no output positions"
-        )
-    return out_len
+def strided_length(length: int, stride: int) -> int:
+    """ceil(L / stride): the time steps conv2d_time leaves, and maxpool_time at stride 2."""
+    return (length - 1) // stride + 1
 
 
-def _check_conv_geometry(x: Tensor, k: int, stride_t: int, pad_t: int, op: str):
+def _check_time_input(x: Tensor, op: str):
     if x.data.ndim != 4:
         raise ShapeError(f"{op} expects a (B, C, L, V) tensor, got {x.shape}")
-    if k not in (1, 3):
-        raise InvalidParameterError(f"{op}: kernel size {k} not in {{1, 3}}")
-    if stride_t < 1 or pad_t < 0:
-        raise InvalidParameterError(f"{op}: invalid stride {stride_t} or pad {pad_t}")
+    if x.shape[2] < 1:
+        raise SequenceTooShortError(f"{op}: empty time axis")
 
 
 def conv2d_time(
@@ -643,18 +636,17 @@ def conv2d_time(
     weight: Tensor,
     bias: Tensor | None = None,
     stride_t: int = 1,
-    pad_t: int = 0,
 ) -> Tensor:
     """Convolution along time only: (B,Cin,L,V) x (Cout,Cin,k,1) -> (B,Cout,L',V).
 
     The variate axis has kernel 1, stride 1 and no padding, so the output at
-    variate v depends on input at variate v alone. Time padding is zeros;
-    L' = floor((L + 2*pad_t - k) / stride_t) + 1.
+    variate v depends on input at variate v alone. Along time, k // 2 zeros
+    pad each side, so L' = strided_length(L, stride_t) = ceil(L / stride_t).
 
     It works in the (B, C, L, V) layout throughout, and no copy transposes
     the innermost axis. A window's im2col columns are (Cin*k, L'*V), each row
-    a whole (L', V) plane: the input itself for k = 1, stride 1 and no
-    padding, otherwise k strided plane slices of a copy of the input
+    a whole (L', V) plane: the input itself for k = 1 and stride 1,
+    otherwise k strided plane slices of a copy of the input
     zero-padded along L, filled a chunk of about BLOCK_BYTES at a time. One
     GEMM per window, W (Cout, Cin*k) @ columns, lands in the output layout,
     and the bias is added in place. Backward adds W_i^T @ gy per tap i into
@@ -668,7 +660,9 @@ def conv2d_time(
     if weight.data.ndim != 4 or weight.shape[3] != 1:
         raise ShapeError(f"conv2d_time weight must be (Cout, Cin, k, 1), got {weight.shape}")
     cout, _, k, _ = weight.shape
-    _check_conv_geometry(x, k, stride_t, pad_t, "conv2d_time")
+    _check_time_input(x, "conv2d_time")
+    if k not in (1, 3) or stride_t < 1:
+        raise InvalidParameterError(f"conv2d_time: kernel {k} or stride {stride_t} invalid")
     if weight.shape[1] != x.shape[1]:
         raise ShapeError(
             f"conv2d_time channel mismatch: input {x.shape[1]}, weight {weight.shape[1]}"
@@ -679,10 +673,11 @@ def conv2d_time(
             raise ShapeError(f"conv2d_time bias must be ({cout},), got {bias.shape}")
     xd, wd = x.data, weight.data
     batch, cin, length, variates = xd.shape
-    out_len = _conv_out_len(length, k, stride_t, pad_t, "conv2d_time")
+    out_len = strided_length(length, stride_t)
     span = stride_t * (out_len - 1) + 1  # time steps from a tap's first to last read
-    padded = (batch, cin, length + 2 * pad_t, variates)
-    pointwise = k == 1 and stride_t == 1 and pad_t == 0
+    pad = k // 2
+    padded = (batch, cin, length + 2 * pad, variates)
+    pointwise = k == 1 and stride_t == 1
     w2d = wd.reshape(cout, cin * k)
     n_cols = out_len * variates
 
@@ -697,7 +692,7 @@ def conv2d_time(
         cols = np.empty((chunk, cin * k, n_cols))
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)
-            xp[: stop - start, :, pad_t : pad_t + length] = xd[start:stop]
+            xp[: stop - start, :, pad : pad + length] = xd[start:stop]
             planes = cols[: stop - start].reshape(stop - start, cin, k, out_len, variates)
             for i in range(k):
                 planes[:, :, i] = xp[: stop - start, :, i : i + span : stride_t]
@@ -718,7 +713,7 @@ def conv2d_time(
         for i in range(k):
             gxp[:, :, i : i + span : stride_t] += (taps[i] @ gy).reshape(
                 batch, cin, out_len, variates)
-        return gxp[:, :, pad_t : pad_t + length]
+        return gxp[:, :, pad : pad + length]
 
     def grad_weight(gy):
         gy = np.ascontiguousarray(gy).reshape(batch, cout, n_cols)
@@ -734,38 +729,33 @@ def conv2d_time(
                lambda gy: gy.sum(axis=(0, 2, 3)))
 
 
-def maxpool_time(x: Tensor, k: int = 3, stride_t: int = 2, pad_t: int = 1) -> Tensor:
-    """Max-pool along time: (B,C,L,V) -> (B,C,L',V) with -inf padding.
+def maxpool_time(x: Tensor) -> Tensor:
+    """The halving max-pool along time: (B,C,L,V) -> (B,C,L',V).
 
-    Same output-length rule as conv2d_time; pad_t may be at most k // 2, as
-    in PyTorch, so that every window holds an input step. Taps are strided
-    slices of one -inf-padded copy of the input. Each window picks what
-    argmax picks, the first NaN or else the first maximum: a later tap wins
-    only where it is greater than the running maximum, or NaN over a number.
-    The output is gathered from the picked elements, so it has their bits
-    (-0.0 before 0.0 stays -0.0). Backward sums the gradient into the picked
-    positions with np.bincount, in window order as np.add.at did.
+    Kernel 3, stride 2 and one -inf step each side, so L' = strided_length(L, 2),
+    as for a stride-2 conv2d_time, and every window holds an input step. Taps
+    are strided slices of one -inf-padded copy of the input. Each window
+    picks what argmax picks, the first NaN or else the first maximum: a later
+    tap wins only where it is greater than the running maximum, or NaN over a
+    number. The output is gathered from the picked elements, so it has their
+    bits (-0.0 before 0.0 stays -0.0). Backward sums the gradient into the
+    picked positions with np.bincount, in window order as np.add.at did.
     """
     x = _as_tensor(x)
-    _check_conv_geometry(x, k, stride_t, pad_t, "maxpool_time")
-    if pad_t > k // 2:
-        raise InvalidParameterError(
-            f"maxpool_time: pad {pad_t} exceeds half the kernel {k}; "
-            f"windows of padding alone would output -inf"
-        )
+    _check_time_input(x, "maxpool_time")
     batch, channels, length, variates = x.shape
-    out_len = _conv_out_len(length, k, stride_t, pad_t, "maxpool_time")
-    span = stride_t * (out_len - 1) + 1
-    padded = (batch, channels, length + 2 * pad_t, variates)
+    out_len = strided_length(length, 2)
+    span = 2 * out_len - 1
+    padded = (batch, channels, length + 2, variates)
 
     xp = np.empty(padded)
-    xp[:, :, :pad_t] = -np.inf
-    xp[:, :, pad_t + length:] = -np.inf
-    xp[:, :, pad_t : pad_t + length] = x.data
-    running = xp[:, :, 0:span:stride_t]
+    xp[:, :, 0] = -np.inf
+    xp[:, :, length + 1] = -np.inf
+    xp[:, :, 1 : length + 1] = x.data
+    running = xp[:, :, 0:span:2]
     pick = np.zeros(running.shape, np.int8)
-    for i in range(1, k):
-        tap = xp[:, :, i : i + span : stride_t]
+    for i in (1, 2):
+        tap = xp[:, :, i : i + span : 2]
         take = np.less_equal(tap, running)
         np.logical_not(take, out=take)  # tap greater, or either one NaN,
         take &= running == running  # but a NaN already picked stays
@@ -776,11 +766,11 @@ def maxpool_time(x: Tensor, k: int = 3, stride_t: int = 2, pad_t: int = 1) -> Te
     # each window's pick as a flat position in xp
     index = pick * np.intp(variates)
     index += np.arange(batch * channels).reshape(batch, channels, 1, 1) * (padded[2] * variates)
-    index += np.arange(out_len)[:, np.newaxis] * (stride_t * variates) + np.arange(variates)
+    index += np.arange(out_len)[:, np.newaxis] * (2 * variates) + np.arange(variates)
 
     def grad_x(gy):
         gxp = np.bincount(index.ravel(), np.ravel(gy), minlength=math.prod(padded))
-        return gxp.reshape(padded)[:, :, pad_t : pad_t + length]
+        return gxp.reshape(padded)[:, :, 1 : length + 1]
 
     return _op("maxpool_time", xp.take(index), (x,), grad_x)
 

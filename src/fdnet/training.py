@@ -310,6 +310,8 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             if not np.isfinite(tensors[name]).all():
                 raise CorruptCheckpointError(f"tensor {name} holds non-finite values")
+            if name == "standardizer.std" and not (tensors[name] > 0.0).all():
+                raise CorruptCheckpointError(f"tensor {name} holds a value <= 0")
         if fh.read(1):
             raise CorruptCheckpointError("trailing bytes after the last tensor")
 

@@ -69,9 +69,9 @@ def _check_conv():
     w3 = Tensor(_rand((4, 3, 3, 1), 17))
     w1 = Tensor(_rand((4, 3, 1, 1), 18))
     b = Tensor(_rand((4,), 19))
-    same = T.grad_check(lambda: _sq_sum(T.conv2d_time(x, w3, b, 1, 1)), [x, w3, b])
-    strided = T.grad_check(lambda: _sq_sum(T.conv2d_time(x, w3, b, 2, 1)), [x, w3, b])
-    pointwise = T.grad_check(lambda: _sq_sum(T.conv2d_time(x, w1, b, 1, 0)), [x, w1, b])
+    same = T.grad_check(lambda: _sq_sum(T.conv2d_time(x, w3, b)), [x, w3, b])
+    strided = T.grad_check(lambda: _sq_sum(T.conv2d_time(x, w3, b, 2)), [x, w3, b])
+    pointwise = T.grad_check(lambda: _sq_sum(T.conv2d_time(x, w1, b)), [x, w1, b])
     return max(same, strided, pointwise)
 
 
@@ -82,7 +82,7 @@ def _check_maxpool():
         np.arange(2 * 2 * 9 * 2, dtype=float)
     ).reshape(2, 2, 9, 2) * 0.25
     x = Tensor(vals)
-    return T.grad_check(lambda: _sq_sum(T.maxpool_time(x, 3, 2, 1)), x)
+    return T.grad_check(lambda: _sq_sum(T.maxpool_time(x)), x)
 
 
 def _check_gelu():
@@ -122,7 +122,7 @@ def _check_shape_ops():
 
 
 def _check_wn_conv():
-    layer = WeightNormConv(2, 3, 3, pad_t=1, rng=np.random.default_rng(27))
+    layer = WeightNormConv(2, 3, 3, rng=np.random.default_rng(27))
     x = Tensor(_rand((1, 2, 6, 2), 28))
     return T.grad_check(lambda: _sq_sum(layer.forward(x)), layer.parameters())
 

@@ -13,8 +13,8 @@ from fdnet.data import SplitSpec, Standardizer, TimeSeriesFrame, load_csv, make_
 from fdnet.focal import make_focal_plan
 from fdnet.kstest import ecdf_sup_distance, ks_p_value, ks_reject_threshold, shift_report
 from fdnet.metrics import mase, owa, smape
-from fdnet.models import build_model, halved_length
-from fdnet.tensor import Tensor
+from fdnet.models import build_model
+from fdnet.tensor import Tensor, strided_length
 from fdnet.training import TrainConfig, evaluate_mse, train
 from fdnet.verification import run_gradient_checks
 
@@ -101,7 +101,7 @@ def test_criterion_3_structural_invariants_20_seeds():
                 for fu_branch, (length, depth) in zip(
                         fu.branches, zip(fu.plan.lengths, fu.plan.depths)):
                     for _ in range(depth):
-                        length = halved_length(length)
+                        length = strided_length(length, 2)
                     assert fu_branch.out_length == length
 
 

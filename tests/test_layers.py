@@ -48,16 +48,16 @@ class TestWeightNormConv:
             layer.effective_weight()
 
     def test_matches_plain_conv_bitwise(self):
-        layer = WeightNormConv(3, 4, 3, stride_t=1, pad_t=1, rng=gen(7))
+        layer = WeightNormConv(3, 4, 3, rng=gen(7))
         x = Tensor(gen(8).normal(size=(2, 3, 10, 2)))
         with T.no_grad():
             w = layer.effective_weight().data
-            expected = T.conv2d_time(x, Tensor(w), layer.bias, 1, 1).data
+            expected = T.conv2d_time(x, Tensor(w), layer.bias).data
             got = layer.forward(x).data
         assert np.array_equal(got, expected)
 
     def test_scale_invariance_in_v(self):
-        layer = WeightNormConv(3, 4, 3, pad_t=1, rng=gen(9))
+        layer = WeightNormConv(3, 4, 3, rng=gen(9))
         x = Tensor(gen(10).normal(size=(1, 3, 8, 2)))
         base = layer.forward(x).data
         layer.v.data = layer.v.data * 10.0
@@ -65,7 +65,7 @@ class TestWeightNormConv:
         assert np.all(np.abs(scaled - base) <= 1e-12 * (np.abs(base) + 1e-30) + 1e-13)
 
     def test_gradcheck_through_v_and_g(self):
-        layer = WeightNormConv(2, 3, 3, pad_t=1, rng=gen(11))
+        layer = WeightNormConv(2, 3, 3, rng=gen(11))
         x = Tensor(gen(12).normal(size=(1, 2, 6, 2)))
 
         def f():

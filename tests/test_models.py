@@ -30,15 +30,14 @@ from fdnet.models import (
     FUNetModel,
     _streams,
     build_model,
-    halved_length,
 )
-from fdnet.tensor import Tensor
+from fdnet.tensor import Tensor, strided_length
 
 
 def halved_times(length, depth):
     """The length after `depth` downsampling blocks."""
     for _ in range(depth):
-        length = halved_length(length)
+        length = strided_length(length, 2)
     return length
 
 
@@ -99,7 +98,7 @@ class TestDFEICOMBlock:
         x = Tensor(np.random.default_rng(3).normal(size=(1, 4, length, 2)))
         with T.no_grad():
             out = block.forward(x, "eval")
-        assert out.shape[2] == expected == halved_length(length)
+        assert out.shape[2] == expected == strided_length(length, 2)
 
     def test_too_short(self):
         block = make_block("icom")
@@ -117,10 +116,14 @@ class TestDFEICOMBlock:
         assert np.array_equal(base[:, :, :, 1:], out[:, :, :, 1:])
 
     def test_pool_and_conv_lengths_agree_exhaustively(self):
-        # floor((L+2-3)/2)+1 must match for every L in [2, 512]
-        for length in range(2, 513):
-            conv_len = (length + 2 - 3) // 2 + 1
-            assert conv_len == halved_length(length)
+        # the block's two halving paths, run on every L in [1, 512]
+        w = Tensor(np.ones((1, 1, 3, 1)))
+        with T.no_grad():
+            for length in range(1, 513):
+                x = Tensor(np.ones((1, 1, length, 1)))
+                expected = strided_length(length, 2)
+                assert T.conv2d_time(x, w, None, 2).shape[2] == expected
+                assert T.maxpool_time(x).shape[2] == expected
 
 
 class TestBlockMemory:

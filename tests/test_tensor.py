@@ -109,13 +109,13 @@ class TestConv2dTime:
         x = T.Tensor(rand((2, 8, 96, 7), 0))
         w = T.Tensor(rand((8, 8, 3, 1), 1))
         b = T.Tensor(np.zeros(8))
-        assert T.conv2d_time(x, w, b, stride_t=1, pad_t=1).shape == (2, 8, 96, 7)
+        assert T.conv2d_time(x, w, b).shape == (2, 8, 96, 7)
 
     def test_shape_strided(self):
-        # floor((96 + 2 - 3)/2) + 1 = 48
+        # ceil(96 / 2) = 48
         x = T.Tensor(rand((2, 8, 96, 7), 0))
         w = T.Tensor(rand((8, 8, 3, 1), 1))
-        assert T.conv2d_time(x, w, None, stride_t=2, pad_t=1).shape == (2, 8, 48, 7)
+        assert T.conv2d_time(x, w, None, stride_t=2).shape == (2, 8, 48, 7)
 
     def test_identity_kernel(self):
         x = T.Tensor(rand((2, 4, 10, 3), 5))
@@ -126,10 +126,11 @@ class TestConv2dTime:
         assert np.array_equal(out.data, x.data)
 
     def test_too_short(self):
-        x = T.Tensor(rand((1, 2, 2, 1), 0))
+        # padding k // 2 leaves an output step for every L >= 1, so only L = 0 is too short
+        x = T.Tensor(np.zeros((1, 2, 0, 1)))
         w = T.Tensor(rand((2, 2, 3, 1), 1))
         with pytest.raises(SequenceTooShortError):
-            T.conv2d_time(x, w, None, stride_t=1, pad_t=0)
+            T.conv2d_time(x, w)
 
     @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 2, 3, 2)])
     def test_weight_of_another_shape_names_the_layout(self, shape):
@@ -141,21 +142,23 @@ class TestConv2dTime:
         x = rand((2, 3, 10, 4), 21)
         w = T.Tensor(rand((5, 3, 3, 1), 22))
         b = T.Tensor(rand((5,), 23))
-        base = T.conv2d_time(T.Tensor(x), w, b, stride_t=1, pad_t=1).data
+        base = T.conv2d_time(T.Tensor(x), w, b).data
         zeroed = x.copy()
         zeroed[:, :, :, 1] = 0.0
-        out = T.conv2d_time(T.Tensor(zeroed), w, b, stride_t=1, pad_t=1).data
+        out = T.conv2d_time(T.Tensor(zeroed), w, b).data
         keep = [v for v in range(4) if v != 1]
         assert np.array_equal(base[:, :, :, keep], out[:, :, :, keep])
 
     @pytest.mark.parametrize("stride,pad,k", [(1, 1, 3), (2, 1, 3), (1, 0, 1), (2, 0, 1)])
     def test_gradcheck(self, stride, pad, k):
+        # pad is what the op pads each side: k // 2
         x = T.Tensor(rand((2, 3, 8, 2), 31))
         w = T.Tensor(rand((4, 3, k, 1), 32))
         b = T.Tensor(rand((4,), 33))
+        assert T.conv2d_time(x, w, b, stride).shape[2] == (8 + 2 * pad - k) // stride + 1
 
         def f():
-            y = T.conv2d_time(x, w, b, stride_t=stride, pad_t=pad)
+            y = T.conv2d_time(x, w, b, stride_t=stride)
             return T.tensor_sum(T.mul(y, y))
 
         assert T.grad_check(f, [x, w, b]) < 1e-3
@@ -170,33 +173,27 @@ class TestMaxpoolTime:
     def test_hand_windowing(self):
         # padded [-inf,1,5,2,4,-inf]; windows [-inf,1,5] and [5,2,4] -> [5,5]
         x = T.Tensor(np.array([1.0, 5.0, 2.0, 4.0]).reshape(1, 1, 4, 1))
-        out = T.maxpool_time(x, k=3, stride_t=2, pad_t=1)
+        out = T.maxpool_time(x)
         assert np.array_equal(out.data.ravel(), [5.0, 5.0])
 
     def test_grad_routes_to_max(self):
         x = T.Tensor(np.array([1.0, 5.0, 2.0, 4.0]).reshape(1, 1, 4, 1), requires_grad=True)
-        out = T.tensor_sum(T.maxpool_time(x, k=3, stride_t=2, pad_t=1))
+        out = T.tensor_sum(T.maxpool_time(x))
         out.backward()
         # 5 is the max of both windows: receives both units of gradient
         assert np.array_equal(x.grad.ravel(), [0.0, 2.0, 0.0, 0.0])
 
     def test_tie_breaks_first(self):
         x = T.Tensor(np.array([2.0, 7.0, 7.0]).reshape(1, 1, 3, 1), requires_grad=True)
-        out = T.tensor_sum(T.slice_time(T.maxpool_time(x, k=3, stride_t=2, pad_t=1), 0, 1))
+        out = T.tensor_sum(T.slice_time(T.maxpool_time(x), 0, 1))
         out.backward()
         assert np.array_equal(x.grad.ravel(), [0.0, 1.0, 0.0])
 
     def test_too_short(self):
-        x = T.Tensor(rand((1, 2, 1, 1), 0))
+        # one -inf step each side leaves an output step for every L >= 1
+        x = T.Tensor(np.zeros((1, 2, 0, 1)))
         with pytest.raises(SequenceTooShortError):
-            T.maxpool_time(x, k=3, stride_t=2, pad_t=0)
-
-    @pytest.mark.parametrize("k,pad", [(3, 2), (3, 3), (1, 1)])
-    def test_pad_over_half_kernel_rejected(self, k, pad):
-        # a window of padding alone would output -inf, and 0 * -inf is NaN
-        x = T.Tensor(np.arange(4.0).reshape(1, 1, 4, 1))
-        with pytest.raises(InvalidParameterError, match="half the kernel"):
-            T.maxpool_time(x, k=k, stride_t=2, pad_t=pad)
+            T.maxpool_time(x)
 
     def test_gradcheck_no_ties(self):
         # well-separated values keep finite differences away from kinks
@@ -205,7 +202,7 @@ class TestMaxpoolTime:
         x = T.Tensor(vals)
 
         def f():
-            y = T.maxpool_time(x, k=3, stride_t=2, pad_t=1)
+            y = T.maxpool_time(x)
             return T.tensor_sum(T.mul(y, y))
 
         assert T.grad_check(f, x) < 1e-3
@@ -277,17 +274,18 @@ def _rows_conv(x, w, b, stride, pad, gy):
     return y, _accumulated(gx), _accumulated(gw), None if gb is None else _accumulated(gb)
 
 
-def _reference_maxpool(x, k, stride, pad, gy):
-    """np.pad + sliding_window_view maxpool with full index arrays: (y, gx)."""
+def _reference_maxpool(x, gy):
+    """np.pad + sliding_window_view kernel-3, stride-2, pad-1 maxpool with
+    full index arrays: (y, gx)."""
     batch, channels, length, variates = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (0, 0)), constant_values=-np.inf) if pad else x
-    windows = sliding_window_view(xp, k, axis=2)[:, :, ::stride, :, :]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (0, 0)), constant_values=-np.inf)
+    windows = sliding_window_view(xp, 3, axis=2)[:, :, ::2, :, :]
     argmax = windows.argmax(axis=-1)
     y = np.take_along_axis(windows, argmax[..., np.newaxis], axis=-1)[..., 0]
-    gxp = np.zeros((batch, channels, length + 2 * pad, variates))
+    gxp = np.zeros((batch, channels, length + 2, variates))
     b_idx, c_idx, t_idx, v_idx = np.indices(y.shape, sparse=False)
-    np.add.at(gxp, (b_idx, c_idx, t_idx * stride + argmax, v_idx), gy)
-    return y, _accumulated(gxp[:, :, pad : pad + length, :])
+    np.add.at(gxp, (b_idx, c_idx, t_idx * 2 + argmax, v_idx), gy)
+    return y, _accumulated(gxp[:, :, 1 : length + 1, :])
 
 
 def _layout(rng, shape, transposed, values):
@@ -325,11 +323,12 @@ class TestConvPoolOracle:
     reference formulations above bit for bit, and conv2d_time stays within
     1e-14 of the earlier rows @ W^T formulation's largest magnitude."""
 
-    def _check_conv(self, rng, shape, cout, k, stride, pad, with_bias, transposed):
+    def _check_conv(self, rng, shape, cout, k, stride, with_bias, transposed):
+        pad = k // 2
         x = T.Tensor(_layout(rng, shape, transposed, _normal), requires_grad=True)
         w = T.Tensor(rng.normal(size=(cout, shape[1], k, 1)), requires_grad=True)
         b = T.Tensor(rng.normal(size=cout), requires_grad=True) if with_bias else None
-        y = T.conv2d_time(x, w, b, stride_t=stride, pad_t=pad)
+        y = T.conv2d_time(x, w, b, stride_t=stride)
         gy = _upstream(rng, y.shape)
         y.grad = gy.copy()
         y._backward()
@@ -341,45 +340,40 @@ class TestConvPoolOracle:
         if with_bias:
             assert _bits_equal(b.grad, rgb)
         with T.no_grad():
-            assert _bits_equal(T.conv2d_time(x, w, b, stride_t=stride, pad_t=pad).data, ry)
+            assert _bits_equal(T.conv2d_time(x, w, b, stride_t=stride).data, ry)
         # the rows @ W^T products sum in another order: same values to rounding
         for got, want in zip((y.data, x.grad, w.grad),
                              _rows_conv(x.data, w.data, bias, stride, pad, gy)):
             assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
-    def _check_pool(self, rng, shape, stride, pad, transposed, values=_tied):
+    def _check_pool(self, rng, shape, transposed, values=_tied):
         x = T.Tensor(_layout(rng, shape, transposed, values), requires_grad=True)
-        y = T.maxpool_time(x, k=3, stride_t=stride, pad_t=pad)
+        y = T.maxpool_time(x)
         gy = _upstream(rng, y.shape)
         y.grad = gy.copy()
         y._backward()
-        ry, rgx = _reference_maxpool(x.data, 3, stride, pad, gy)
+        ry, rgx = _reference_maxpool(x.data, gy)
         assert _bits_equal(y.data, ry)
         assert _bits_equal(x.grad, rgx)
         with T.no_grad():
-            assert _bits_equal(T.maxpool_time(x, k=3, stride_t=stride, pad_t=pad).data, ry)
+            assert _bits_equal(T.maxpool_time(x).data, ry)
 
     @ORACLE
     @given(batch=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 8),
            variates=st.integers(1, 3), k=st.sampled_from([1, 3]),
-           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
-           extra=st.integers(0, 12), with_bias=st.booleans(), transposed=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_conv(self, batch, cin, cout, variates, k, stride, pad, extra, with_bias,
+           stride=st.sampled_from([1, 2]), length=st.integers(1, 12),
+           with_bias=st.booleans(), transposed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_conv(self, batch, cin, cout, variates, k, stride, length, with_bias,
                   transposed, seed):
-        length = min(max(1, k - 2 * pad) + extra, 12)
         self._check_conv(np.random.default_rng(seed), (batch, cin, length, variates), cout,
-                         k, stride, pad, with_bias, transposed)
+                         k, stride, with_bias, transposed)
 
     @ORACLE
     @given(batch=st.integers(1, 3), channels=st.integers(1, 4), variates=st.integers(1, 3),
-           stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
-           extra=st.integers(0, 12), transposed=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_maxpool(self, batch, channels, variates, stride, pad, extra, transposed, seed):
-        length = min(max(1, 3 - 2 * pad) + extra, 12)
+           length=st.integers(1, 12), transposed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_maxpool(self, batch, channels, variates, length, transposed, seed):
         self._check_pool(np.random.default_rng(seed), (batch, channels, length, variates),
-                         stride, pad, transposed)
+                         transposed)
 
     @pytest.mark.parametrize("frozen", ["weight", "input"])
     def test_gradient_through_a_frozen_operand(self, frozen):
@@ -387,7 +381,7 @@ class TestConvPoolOracle:
         rng = np.random.default_rng(77)
         x = T.Tensor(rng.normal(size=(3, 8, 700, 2)), requires_grad=frozen != "input")
         w = T.Tensor(rng.normal(size=(4, 8, 3, 1)), requires_grad=frozen != "weight")
-        y = T.conv2d_time(x, w, None, stride_t=1, pad_t=1)
+        y = T.conv2d_time(x, w)
         gy = _upstream(rng, y.shape)
         y.grad = gy.copy()
         y._backward()
@@ -405,23 +399,23 @@ class TestConvPoolOracle:
         tracemalloc.start()
         try:
             with T.no_grad():
-                T.conv2d_time(x, w, b, stride_t=1, pad_t=1)
+                T.conv2d_time(x, w, b)
             no_grad_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            y = T.conv2d_time(x, w, b, stride_t=1, pad_t=1)
+            y = T.conv2d_time(x, w, b)
             after, grad_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert grad_peak <= no_grad_peak + 8 * 1024
         assert after - before - y.data.nbytes < 8 * 1024
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
-    def test_maxpool_nan_and_inf(self, stride, pad):
+    @pytest.mark.parametrize("length", [1, 2, 11, 12])
+    def test_maxpool_nan_and_inf(self, length):
         # argmax picks the first NaN of a window, and -inf or inf like numbers
         values = np.array([-np.inf, np.inf, np.nan, -1.5, -0.0, 0.0, 2.0])
-        rng = np.random.default_rng(10 * stride + pad)
-        self._check_pool(rng, (2, 3, 11, 2), stride, pad, False,
+        rng = np.random.default_rng(length)
+        self._check_pool(rng, (2, 3, length, 2), False,
                          values=lambda rng, shape: rng.choice(values, size=shape))
 
     @pytest.mark.parametrize("cin,cout", [(1, 8), (3, 8), (4, 2), (1, 1)])
@@ -430,7 +424,7 @@ class TestConvPoolOracle:
         # B = V = L' = 1: the input gradient is a matrix-vector product
         rng = np.random.default_rng(cin * 100 + cout * 10 + length)
         for transposed in (False, True):
-            self._check_conv(rng, (1, cin, length, 1), cout, 3, stride, 1, True, transposed)
+            self._check_conv(rng, (1, cin, length, 1), cout, 3, stride, True, transposed)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_default_size(self, stride):
@@ -441,10 +435,11 @@ class TestConvPoolOracle:
         rng = np.random.default_rng(1010)
         for batch, length in itertools.product((16, 32), (336, 168, 84, 42, 21)):
             shape = (batch, 8, length, 7)
-            self._check_conv(rng, shape, 8, 3, stride, 1, True, False)
-            self._check_conv(rng, shape, 8, 1, stride, 0, True, True)
-            self._check_conv(rng, (batch, 1, length, 7), 8, 1, stride, 0, True, False)
-            self._check_pool(rng, shape, stride, 1, False)
+            self._check_conv(rng, shape, 8, 3, stride, True, False)
+            self._check_conv(rng, shape, 8, 1, stride, True, True)
+            self._check_conv(rng, (batch, 1, length, 7), 8, 1, stride, True, False)
+            if stride == 2:  # the pool only halves
+                self._check_pool(rng, shape, False)
 
 
 def _chain_weight_norm(v, g):
@@ -530,8 +525,8 @@ class TestFusedOpOracle:
         for build in (T.weight_norm, _chain_weight_norm):
             x = T.Tensor(x0, requires_grad=True)
             v3, g3, v1, g1 = (T.Tensor(p.copy(), requires_grad=True) for p in params)
-            y = T.add(T.conv2d_time(x, build(v3, g3), None, 1, 1),
-                      T.conv2d_time(x, build(v1, g1), None, 1, 0))
+            y = T.add(T.conv2d_time(x, build(v3, g3), None),
+                      T.conv2d_time(x, build(v1, g1), None))
             _backprop_from(y, gy)
             grads.append([t.grad for t in (x, v3, g3, v1, g1)])
         assert all(_bits_equal(a, b) for a, b in zip(*grads))
@@ -997,8 +992,8 @@ class TestBackward:
     def test_forward_determinism(self):
         x = rand((2, 3, 12, 4), 55)
         w = rand((5, 3, 3, 1), 56)
-        a = T.conv2d_time(T.Tensor(x), T.Tensor(w), None, 2, 1).data
-        b = T.conv2d_time(T.Tensor(x), T.Tensor(w), None, 2, 1).data
+        a = T.conv2d_time(T.Tensor(x), T.Tensor(w), None, 2).data
+        b = T.conv2d_time(T.Tensor(x), T.Tensor(w), None, 2).data
         assert np.array_equal(a, b)
 
 
@@ -1167,7 +1162,7 @@ class TestGradCheckHarness:
         b = T.Tensor(rand((3,), 65))
 
         def f():
-            return T.tensor_sum(T.gelu(T.conv2d_time(x, w, b, stride_t=1, pad_t=1)))
+            return T.tensor_sum(T.gelu(T.conv2d_time(x, w, b)))
 
         assert T.grad_check(f, [x, w, b]) < 1e-4
 
@@ -1190,7 +1185,7 @@ def test_all_ops_finite_difference_sweep(seed):
     b = T.Tensor(rand((4,), seed + 2000))
 
     def conv_chain():
-        y = T.conv2d_time(x, w, b, stride_t=1, pad_t=1)
+        y = T.conv2d_time(x, w, b)
         y = T.gelu(y)
         y = T.slice_time(y, 0, 3)
         return T.tensor_sum(T.mul(y, y))
@@ -1205,7 +1200,7 @@ def test_all_ops_finite_difference_sweep(seed):
     px = T.Tensor(pool_vals * 0.25)
 
     def pool_chain():
-        y = T.maxpool_time(px, 3, 2, 1)
+        y = T.maxpool_time(px)
         return T.tensor_sum(T.mul(y, y))
 
     assert T.grad_check(pool_chain, px) < 1e-3

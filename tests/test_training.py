@@ -461,6 +461,20 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", ["negated", "zero"])
+    def test_nonpositive_standardizer_std_rejected(self, tmp_path, value):
+        # Standardizer.fit writes 1 for a zero-variance column, never a std <= 0;
+        # standardizer.std is the last tensor, one float per variate (2 here)
+        data = bytearray((FIXTURES / "tiny_fdnet.ckpt").read_bytes())
+        at = len(data) - 16  # std[0]
+        (std0,) = struct.unpack_from("<d", data, at)
+        assert std0 > 0.0
+        struct.pack_into("<d", data, at, -std0 if value == "negated" else 0.0)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptCheckpointError, match="standardizer.std"):
+            load_checkpoint(path)
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
